@@ -298,9 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--n-jobs", type=int, default=300,
                        help="jobs used to size/warm the predictor "
                        "(0 = full paper size)")
-    p_srv.add_argument("--slow", action="store_true",
-                       help="disable the analytic shortcuts; every miss "
-                       "runs the reference forward simulation")
 
     p_q = sub.add_parser(
         "query",
@@ -900,9 +897,7 @@ def run_serve(args: argparse.Namespace) -> int:
     )
     policy = make_policy(args.algorithm)
     estimator = PointEstimator(make_predictor(args.predictor, wl))
-    service = PredictionService(
-        policy, estimator, wl.total_nodes, fast=not args.slow
-    )
+    service = PredictionService(policy, estimator, wl.total_nodes)
     with PredictionServer((args.host, args.port), service) as server:
         print(
             f"serving on {args.host}:{server.port} "

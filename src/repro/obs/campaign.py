@@ -38,6 +38,7 @@ resource probe wraps the cell function, it never reaches into it).
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 import time
@@ -422,7 +423,9 @@ class ProgressRenderer:
     ) -> None:
         self.stream = stream if stream is not None else sys.stderr
         self.min_interval_s = min_interval_s
-        self._last_render = 0.0
+        # -inf, not 0.0: the first render must pass the rate limit even
+        # when the monotonic clock itself is still below the interval.
+        self._last_render = -math.inf
         self._last_width = 0
 
     def line_for(self, monitor: CampaignMonitor) -> str:
@@ -499,7 +502,7 @@ class CampaignTelemetry:
         if campaign_id is None:
             campaign_id = f"campaign-{os.getpid()}-{time.time_ns():x}"
         self.campaign_id = campaign_id
-        self._last_heartbeat = 0.0
+        self._last_heartbeat = -math.inf  # first heartbeat always passes
         self._started_monotonic: float | None = None
 
     # -- plumbing ------------------------------------------------------

@@ -498,24 +498,6 @@ class BatchAvailabilityProfile:
         self._drop_scratch()
         return need
 
-    def earliest_start(
-        self,
-        nodes: int,
-        durations: np.ndarray | float,
-        *,
-        not_before: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Per-world earliest start for ``(nodes, durations[s])`` requests."""
-        durations = np.broadcast_to(
-            np.asarray(durations, dtype=np.float64), (self.n_worlds,)
-        )
-        if not_before is None and bool((durations > 0).all()):
-            width = self._ensure_capacity()
-            anchor, _ = self._find_nofloor(nodes, durations, width)
-            return anchor
-        anchor, _, _, _ = self._find_slots(nodes, durations, not_before)
-        return anchor
-
     def _find_slots(
         self,
         nodes: int,

@@ -25,14 +25,22 @@ Two properties make repeated queries cheap:
   itself.  Estimators advertising ``history_epoch is None`` (volatile)
   disable caching rather than risk staleness.
 
-Cache misses are answered in one queue walk where an analytic shortcut
-is exact (:func:`repro.waitpred.fast.fcfs_predicted_starts`,
-:func:`~repro.waitpred.fast.backfill_predicted_starts`), computing the
-*whole* queue's starts at once so the rest of the epoch's queries —
+Cache misses ask the one shortcut dispatch of :mod:`repro.waitpred.fast`
+whether an analytic queue walk is exact.  If so, one walk
+(:func:`repro.waitpred.fast.fcfs_predicted_starts` or
+:func:`~repro.waitpred.fast.backfill_predicted_starts`) computes the
+*whole* queue's starts at once, so the rest of the epoch's queries —
 single or batch — are hits.  Policies without a shortcut (LWF, EASY, or
 backfill with a divergent scheduler estimator) fall back to per-job
 :func:`~repro.scheduler.simulator.forward_simulate`, counted in
-``service.fallback_simulations``.
+``service.fallback_simulations``.  The frozen inputs come from the same
+:func:`repro.waitpred.predictor._freeze` that :func:`predict_wait` uses,
+so a cached answer is bit-identical to an uncached one.
+
+Ingest rejects events no machine can produce — non-finite or backwards
+times, jobs wider than the machine, starts that need more nodes than
+are free — with :class:`ValueError`, leaving the clock, epoch and
+mirrored state untouched.
 """
 
 from __future__ import annotations
@@ -41,7 +49,6 @@ import math
 import time
 
 from repro.obs import QUERY_LATENCY_BUCKETS, Instrumentation
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import (
     QueuedJob,
@@ -52,10 +59,11 @@ from repro.scheduler.simulator import (
 )
 from repro.waitpred.fast import (
     UnknownJobError,
+    _shortcut,
     backfill_predicted_starts,
     fcfs_predicted_starts,
-    predict_start_fast,
 )
+from repro.waitpred.predictor import _freeze
 from repro.workloads.job import Job
 
 __all__ = ["PredictionService", "SimulatorFeed", "UnknownJobError"]
@@ -84,20 +92,19 @@ class PredictionService:
         total_nodes: int,
         *,
         scheduler_estimator: RuntimeEstimator | None = None,
-        fast: bool = True,
         instrumentation: Instrumentation | None = None,
     ) -> None:
         self.policy = policy
         self.estimator = estimator
         self.scheduler_estimator = scheduler_estimator
         self.total_nodes = total_nodes
-        self.fast = fast
         self.now = 0.0
         #: Monotone event counter; the cache key's first component.
         self.epoch = 0
         self._queued: dict[int, QueuedJob] = {}  # insertion = arrival order
         self._running: dict[int, RunningJob] = {}  # insertion = start order
         self._finished: set[int] = set()
+        self._used_nodes = 0  # nodes held by running jobs
         # Lazily materialized snapshot, valid for _snapshot_epoch only.
         self._snapshot: SystemSnapshot | None = None
         self._snapshot_epoch = -1
@@ -123,6 +130,8 @@ class PredictionService:
     # event ingestion
     # ------------------------------------------------------------------
     def _advance(self, now: float) -> None:
+        if not math.isfinite(now):
+            raise ValueError(f"event time {now} is not finite")
         if now < self.now:
             raise ValueError(
                 f"event time {now} precedes service clock {self.now}"
@@ -157,6 +166,11 @@ class PredictionService:
         jid = job.job_id
         if jid in self._queued or jid in self._running or jid in self._finished:
             raise ValueError(f"job {jid} already submitted")
+        if not 1 <= job.nodes <= self.total_nodes:
+            raise ValueError(
+                f"job {jid} asks for {job.nodes} nodes on a "
+                f"{self.total_nodes}-node machine"
+            )
         self._advance(now)
         self._queued[jid] = QueuedJob(job)
         self._notify_estimator("on_submit", job)
@@ -166,8 +180,14 @@ class PredictionService:
         qj = self._queued.get(job_id)
         if qj is None:
             raise UnknownJobError(job_id, "is not queued, so cannot start")
+        free = self.total_nodes - self._used_nodes
+        if qj.job.nodes > free:
+            raise ValueError(
+                f"job {job_id} needs {qj.job.nodes} nodes but only {free} are free"
+            )
         self._advance(now)
         del self._queued[job_id]
+        self._used_nodes += qj.job.nodes
         self._running[job_id] = RunningJob(job=qj.job, start_time=now)
         self._notify_estimator("on_start", qj.job)
 
@@ -178,6 +198,7 @@ class PredictionService:
             raise UnknownJobError(job_id, "is not running, so cannot finish")
         self._advance(now)
         del self._running[job_id]
+        self._used_nodes -= rj.job.nodes
         self._finished.add(job_id)
         self._notify_estimator("on_finish", rj.job)
 
@@ -209,18 +230,6 @@ class PredictionService:
     # ------------------------------------------------------------------
     # prediction
     # ------------------------------------------------------------------
-    def _freeze(self, estimator: RuntimeEstimator) -> dict[int, float]:
-        # Must mirror repro.waitpred.predictor._freeze exactly: cached
-        # answers are only bit-identical to predict_wait if the frozen
-        # inputs are.
-        now = self.now
-        out: dict[int, float] = {}
-        for rj in self._running.values():
-            out[rj.job_id] = estimator.predict(rj.job, rj.elapsed(now), now)
-        for qj in self._queued.values():
-            out[qj.job_id] = estimator.predict(qj.job, 0.0, now)
-        return out
-
     def _sync_cache(self) -> bool:
         """Freeze durations for this epoch; return whether caching is on.
 
@@ -233,30 +242,15 @@ class PredictionService:
         key = (self.epoch, hist) if cacheable else None
         if not cacheable or key != self._cache_key:
             self._cache_key = key
-            self._durations = self._freeze(self.estimator)
+            snap = self.snapshot()
+            self._durations = _freeze(snap, self.estimator)
             self._estimates = (
-                self._freeze(self.scheduler_estimator)
+                _freeze(snap, self.scheduler_estimator)
                 if self.scheduler_estimator is not None
                 else None
             )
             self._starts = {}
         return cacheable
-
-    def _shortcut_starts(self) -> dict[int, float] | None:
-        """All queued starts in one walk, or ``None`` when inexact."""
-        snap = self.snapshot()
-        durations = self._durations
-        assert durations is not None
-        if isinstance(self.policy, FCFSPolicy):
-            return fcfs_predicted_starts(snap, durations)
-        estimates = self._estimates
-        self_consistent = estimates is None or all(
-            math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
-            for jid, d in durations.items()
-        )
-        if isinstance(self.policy, BackfillPolicy) and self_consistent:
-            return backfill_predicted_starts(snap, durations)
-        return None
 
     def _start_of(self, job_id: int) -> float:
         start = self._starts.get(job_id)
@@ -264,25 +258,19 @@ class PredictionService:
             self._n_hits += 1
             return start
         self._n_misses += 1
-        if self.fast:
-            batch = self._shortcut_starts()
-            if batch is not None:
-                self._starts.update(batch)
-                return self._starts[job_id]
+        snap = self.snapshot()
+        durations, estimates = self._durations, self._estimates
+        assert durations is not None
+        fcfs = _shortcut(self.policy, durations, estimates)
+        if fcfs is not None:
+            walk = fcfs_predicted_starts if fcfs else backfill_predicted_starts
+            self._starts = walk(snap, durations)
+            return self._starts[job_id]
         # No exact shortcut: reference simulation, one job at a time.
         self._n_fallback += 1
-        snap = self.snapshot()
-        assert self._durations is not None
-        if self.fast:
-            start = predict_start_fast(
-                snap, self.policy, self._durations, job_id,
-                estimates=self._estimates,
-            )
-        else:
-            start = forward_simulate(
-                snap, self.policy, self._durations, job_id,
-                estimates=self._estimates,
-            )
+        start = forward_simulate(
+            snap, self.policy, durations, job_id, estimates=estimates
+        )
         self._starts[job_id] = start
         return start
 

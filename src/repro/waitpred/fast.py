@@ -1,4 +1,4 @@
-"""Analytic (profile-based) wait-time prediction shortcuts.
+"""The wait-planning walk and its exact-shortcut dispatch.
 
 The reference implementation of the paper's §3 technique is an
 event-driven forward simulation (:func:`repro.scheduler.simulator.forward_simulate`).
@@ -19,8 +19,18 @@ Greedy LWF has no such shortcut (a lower-priority job that starts in a
 gap may genuinely delay a higher-priority one, which replanning
 captures and a one-shot plan does not), and neither does backfill with
 ``durations != estimates`` (finish events trigger replans that shift
-reservations).  :func:`predict_start_fast` dispatches: shortcut when
-exact, reference simulation otherwise.
+reservations).
+
+Both shortcuts are one walk, :func:`plan_starts`: reserve each queued
+job on an availability profile in arrival order.  It runs unchanged over
+a scalar :class:`~repro.scheduler.policies.backfill.AvailabilityProfile`
+(the functions below) and over a
+:class:`~repro.scheduler.policies.backfill.BatchAvailabilityProfile`
+(the many-worlds engine, :mod:`repro.waitpred.manyworlds`).
+:func:`_shortcut` is the one place that decides which walk, if any, is
+exact; :func:`predict_start_fast`, the prediction service and the
+many-worlds engine all dispatch through it and fall back to the
+reference simulation when it answers ``None``.
 
 The equivalence of shortcut and reference is property-tested in
 ``tests/test_waitpred_fast.py``.
@@ -29,6 +39,7 @@ The equivalence of shortcut and reference is property-tested in
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
 from repro.scheduler.policies.backfill import AvailabilityProfile
@@ -37,6 +48,7 @@ from repro.scheduler.simulator import SystemSnapshot, forward_simulate
 
 __all__ = [
     "UnknownJobError",
+    "plan_starts",
     "fcfs_predicted_start",
     "fcfs_predicted_starts",
     "backfill_predicted_start",
@@ -44,7 +56,9 @@ __all__ = [
     "predict_start_fast",
 ]
 
-_EPS = 1e-6
+#: The one duration floor of the planning walk: the policy's own floor,
+#: so a plan over predicted durations is a fixed point of its replanning.
+_EPS = BackfillPolicy.min_duration
 
 
 class UnknownJobError(KeyError):
@@ -67,6 +81,49 @@ class UnknownJobError(KeyError):
         return f"job {self.job_id} {self.reason}"
 
 
+def plan_starts(
+    profile, nodes: Iterable[int], durations: Iterable, *, fcfs: bool
+) -> Iterator:
+    """Yield each queued job's planned start, in arrival order.
+
+    ``nodes`` and ``durations`` describe the queue in arrival order;
+    durations must already be floored at ``_EPS``.  Each job is reserved
+    on ``profile`` at its earliest feasible start — floored at the
+    previous job's start under FCFS, unfloored under backfill.  The
+    profile is either scalar (float durations, float starts) or batched
+    (``(S,)`` durations, ``(S,)`` starts); the walk is the same.
+    """
+    start = None
+    for n, d in zip(nodes, durations):
+        start = profile.reserve(n, d, not_before=start if fcfs else None)
+        yield start
+
+
+def _shortcut(
+    policy: Policy,
+    durations: dict[int, float] | None,
+    estimates: dict[int, float] | None,
+) -> bool | None:
+    """Which exact walk answers ``policy``: ``True`` FCFS, ``False``
+    backfill, ``None`` none (simulate).
+
+    FCFS never consults estimates, so its walk is always exact.  The
+    backfill walk is exact only in the self-consistent imagined world:
+    no separate ``estimates``, or estimates equal to ``durations``.
+    """
+    if isinstance(policy, FCFSPolicy):
+        return True
+    if isinstance(policy, BackfillPolicy) and (
+        estimates is None
+        or all(
+            math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
+            for jid, d in durations.items()
+        )
+    ):
+        return False
+    return None
+
+
 def _duration_of(durations: dict[int, float], job_id: int) -> float:
     """``durations[job_id]`` with a typed error naming the missing job."""
     try:
@@ -77,37 +134,46 @@ def _duration_of(durations: dict[int, float], job_id: int) -> float:
         ) from None
 
 
-def _seed_profile(
-    snapshot: SystemSnapshot, durations: dict[int, float]
-) -> AvailabilityProfile:
-    """Profile of free nodes from the snapshot's running jobs."""
+def _walk(
+    snapshot: SystemSnapshot, durations: dict[int, float], *, fcfs: bool
+) -> Iterator[tuple[int, float]]:
+    """``(job_id, start)`` pairs from :func:`plan_starts` over the
+    snapshot's queue, seeded from its running jobs' predicted releases."""
+    now = snapshot.now
     used = sum(rj.job.nodes for rj in snapshot.running)
     releases = [
         (
-            snapshot.now
-            + max(_duration_of(durations, rj.job_id) - rj.elapsed(snapshot.now), _EPS),
+            now + max(_duration_of(durations, rj.job_id) - rj.elapsed(now), _EPS),
             rj.job.nodes,
         )
         for rj in snapshot.running
     ]
-    return AvailabilityProfile.from_releases(
-        snapshot.now, snapshot.total_nodes - used, snapshot.total_nodes, releases
+    profile = AvailabilityProfile.from_releases(
+        now, snapshot.total_nodes - used, snapshot.total_nodes, releases
     )
+    queued = snapshot.queued
+    starts = plan_starts(
+        profile,
+        (qj.job.nodes for qj in queued),
+        (max(_duration_of(durations, qj.job_id), _EPS) for qj in queued),
+        fcfs=fcfs,
+    )
+    return zip((qj.job_id for qj in queued), starts)
+
+
+def _start_of(walk: Iterator[tuple[int, float]], target_job_id: int) -> float:
+    """Advance ``walk`` until ``target_job_id`` is planned; its start."""
+    for job_id, start in walk:
+        if job_id == target_job_id:
+            return start
+    raise UnknownJobError(target_job_id)
 
 
 def fcfs_predicted_start(
     snapshot: SystemSnapshot, durations: dict[int, float], target_job_id: int
 ) -> float:
     """Exact FCFS predicted start of ``target_job_id`` (no event loop)."""
-    profile = _seed_profile(snapshot, durations)
-    prev_start = snapshot.now
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), _EPS)
-        start = profile.reserve(qj.job.nodes, duration, not_before=prev_start)
-        prev_start = start
-        if qj.job_id == target_job_id:
-            return start
-    raise UnknownJobError(target_job_id)
+    return _start_of(_walk(snapshot, durations, fcfs=True), target_job_id)
 
 
 def fcfs_predicted_starts(
@@ -115,22 +181,12 @@ def fcfs_predicted_starts(
 ) -> dict[int, float]:
     """Exact FCFS predicted starts of *every* queued job, in one walk.
 
-    The single-target walk already visits every job ahead of the target;
-    this variant keeps going to the end of the queue and returns
-    ``{job_id: start}`` for all of it — the batch form the prediction
-    service uses to answer a whole epoch's queries from one profile
-    pass.  Each entry is bit-identical to the single-target
+    Returns ``{job_id: start}`` for the whole queue — the batch form the
+    prediction service uses to answer a whole epoch's queries from one
+    profile pass.  Each entry is bit-identical to the single-target
     :func:`fcfs_predicted_start`.
     """
-    profile = _seed_profile(snapshot, durations)
-    prev_start = snapshot.now
-    out: dict[int, float] = {}
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), _EPS)
-        start = profile.reserve(qj.job.nodes, duration, not_before=prev_start)
-        prev_start = start
-        out[qj.job_id] = start
-    return out
+    return dict(_walk(snapshot, durations, fcfs=True))
 
 
 def backfill_predicted_start(
@@ -141,13 +197,7 @@ def backfill_predicted_start(
     Exact only when the scheduler's estimates equal ``durations`` (the
     self-consistent imagined world); callers must ensure that.
     """
-    profile = _seed_profile(snapshot, durations)
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), BackfillPolicy.min_duration)
-        start = profile.reserve(qj.job.nodes, duration)
-        if qj.job_id == target_job_id:
-            return start
-    raise UnknownJobError(target_job_id)
+    return _start_of(_walk(snapshot, durations, fcfs=False), target_job_id)
 
 
 def backfill_predicted_starts(
@@ -159,12 +209,7 @@ def backfill_predicted_starts(
     caveat: the scheduler's estimates must equal ``durations``); each
     entry is bit-identical to the single-target call.
     """
-    profile = _seed_profile(snapshot, durations)
-    out: dict[int, float] = {}
-    for qj in snapshot.queued:  # arrival order
-        duration = max(_duration_of(durations, qj.job_id), BackfillPolicy.min_duration)
-        out[qj.job_id] = profile.reserve(qj.job.nodes, duration)
-    return out
+    return dict(_walk(snapshot, durations, fcfs=False))
 
 
 def predict_start_fast(
@@ -181,15 +226,10 @@ def predict_start_fast(
     :func:`repro.scheduler.simulator.forward_simulate` with identical
     semantics and results (bit-equal up to float associativity).
     """
-    if isinstance(policy, FCFSPolicy):
-        # FCFS never consults estimates; the shortcut is always exact.
-        return fcfs_predicted_start(snapshot, durations, target_job_id)
-    self_consistent = estimates is None or all(
-        math.isclose(estimates.get(jid, float("nan")), d, rel_tol=1e-12)
-        for jid, d in durations.items()
-    )
-    if isinstance(policy, BackfillPolicy) and self_consistent:
-        return backfill_predicted_start(snapshot, durations, target_job_id)
-    return forward_simulate(
-        snapshot, policy, durations, target_job_id, estimates=estimates
-    )
+    fcfs = _shortcut(policy, durations, estimates)
+    if fcfs is None:
+        return forward_simulate(
+            snapshot, policy, durations, target_job_id, estimates=estimates
+        )
+    walk = fcfs_predicted_start if fcfs else backfill_predicted_start
+    return walk(snapshot, durations, target_job_id)

@@ -14,13 +14,14 @@ state advanced across all S worlds at once:
    order);
 2. :func:`sample_durations` draws every world's run times in a single
    ``(S, n_jobs)`` ``standard_normal`` call;
-3. :func:`predict_starts_batch` plans the whole queue through a
+3. :func:`predict_starts_batch` asks the one shortcut dispatch of
+   :mod:`repro.waitpred.fast` which walk is exact and runs that same
+   walk, :func:`~repro.waitpred.fast.plan_starts`, over a
    :class:`~repro.scheduler.policies.backfill.BatchAvailabilityProfile`
-   — the exact FCFS/backfill shortcuts of :mod:`repro.waitpred.fast`
-   with a sample axis, one vectorized ``reserve`` per queued job instead
-   of one scalar reserve per (world, job) — falling back to the scalar
-   per-world :func:`~repro.waitpred.fast.predict_start_fast` only for
-   policies without a shortcut.
+   — one vectorized ``reserve`` per queued job instead of one scalar
+   reserve per (world, job) — falling back to the scalar per-world
+   :func:`~repro.waitpred.fast.predict_start_fast` only for policies
+   without a shortcut.
 
 Determinism and parity contract
 -------------------------------
@@ -46,12 +47,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.predictors.base import PointEstimator
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
 from repro.scheduler.policies.backfill import BatchAvailabilityProfile
 from repro.scheduler.policies.base import Policy
 from repro.scheduler.simulator import SystemSnapshot
 from repro.utils.rng import rng_from_seed
-from repro.waitpred.fast import predict_start_fast
+from repro.waitpred.fast import (
+    _EPS,
+    UnknownJobError,
+    _shortcut,
+    plan_starts,
+    predict_start_fast,
+)
 
 __all__ = [
     "EncodedSnapshot",
@@ -62,8 +68,6 @@ __all__ = [
     "scalar_starts",
     "sweep_estimates",
 ]
-
-_EPS = 1e-6
 
 #: z-score matching the predictors' default 90% two-sided interval; the
 #: sampled run-time distribution is Normal(estimate, half_width / z).
@@ -199,7 +203,7 @@ def sample_durations(
 def _seed_profile_batch(
     enc: EncodedSnapshot, durations: np.ndarray, reserves: int
 ) -> BatchAvailabilityProfile:
-    """Batched twin of ``waitpred.fast._seed_profile``.
+    """Batched twin of the scalar seeding in ``waitpred.fast._walk``.
 
     ``reserves`` is the number of queue reservations the caller will
     place; each adds at most one breakpoint, so sizing the buffers for
@@ -217,50 +221,6 @@ def _seed_profile_batch(
         enc.run_nodes,
         capacity=n_run + reserves + 3,
     )
-
-
-def _target_pos(enc: EncodedSnapshot, target_job_id: int) -> int:
-    try:
-        return enc.queued_ids.index(target_job_id)
-    except ValueError:
-        raise KeyError(f"job {target_job_id} not in snapshot queue") from None
-
-
-def fcfs_starts_batch(
-    enc: EncodedSnapshot, durations: np.ndarray, target_job_id: int
-) -> np.ndarray:
-    """Per-world FCFS predicted starts — ``fcfs_predicted_start`` with a
-    sample axis (monotone in-order planning via per-world floors)."""
-    target = _target_pos(enc, target_job_id)
-    profile = _seed_profile_batch(enc, durations, target + 1)
-    n_run = enc.n_running
-    prev_start = np.full(durations.shape[0], enc.now)
-    for pos in range(target):
-        dur = np.maximum(durations[:, n_run + pos], _EPS)
-        prev_start = profile.reserve(
-            int(enc.queued_nodes[pos]), dur, not_before=prev_start
-        )
-    # The target itself only needs its start, not the carve.
-    dur = np.maximum(durations[:, n_run + target], _EPS)
-    return profile.earliest_start(
-        int(enc.queued_nodes[target]), dur, not_before=prev_start
-    )
-
-
-def backfill_starts_batch(
-    enc: EncodedSnapshot, durations: np.ndarray, target_job_id: int
-) -> np.ndarray:
-    """Per-world conservative-backfill starts in the self-consistent
-    imagined world — ``backfill_predicted_start`` with a sample axis."""
-    target = _target_pos(enc, target_job_id)
-    profile = _seed_profile_batch(enc, durations, target + 1)
-    n_run = enc.n_running
-    for pos in range(target):
-        dur = np.maximum(durations[:, n_run + pos], BackfillPolicy.min_duration)
-        profile.reserve(int(enc.queued_nodes[pos]), dur)
-    # The target itself only needs its start, not the carve.
-    dur = np.maximum(durations[:, n_run + target], BackfillPolicy.min_duration)
-    return profile.earliest_start(int(enc.queued_nodes[target]), dur)
 
 
 def scalar_starts(
@@ -297,17 +257,28 @@ def predict_starts_batch(
 ) -> np.ndarray:
     """Per-world predicted starts, vectorized where a shortcut is exact.
 
-    Mirrors the dispatch of :func:`repro.waitpred.fast.predict_start_fast`
-    for the self-consistent worlds the Monte-Carlo engine simulates
-    (believed durations double as the scheduler's estimates): FCFS and
-    conservative backfill run through the batched profile; any other
-    policy falls back to the scalar per-world loop.
+    Dispatches like :func:`repro.waitpred.fast.predict_start_fast` for
+    the self-consistent worlds the Monte-Carlo engine simulates
+    (believed durations double as the scheduler's estimates): where
+    :func:`~repro.waitpred.fast._shortcut` names an exact walk, the queue
+    up to the target is planned by :func:`~repro.waitpred.fast.plan_starts`
+    over the batched profile; any other policy falls back to the scalar
+    per-world loop.  Raises :class:`~repro.waitpred.fast.UnknownJobError`
+    when the target is not queued.
     """
-    if isinstance(policy, FCFSPolicy):
-        return fcfs_starts_batch(enc, durations, target_job_id)
-    if isinstance(policy, BackfillPolicy):
-        return backfill_starts_batch(enc, durations, target_job_id)
-    return scalar_starts(snapshot, policy, enc, durations, target_job_id)
+    try:
+        target = enc.queued_ids.index(target_job_id)
+    except ValueError:
+        raise UnknownJobError(target_job_id) from None
+    fcfs = _shortcut(policy, None, None)  # no separate estimates
+    if fcfs is None:
+        return scalar_starts(snapshot, policy, enc, durations, target_job_id)
+    n_run = enc.n_running
+    profile = _seed_profile_batch(enc, durations, target + 1)
+    queued = np.maximum(durations[:, n_run : n_run + target + 1], _EPS).T
+    nodes = enc.queued_nodes[: target + 1].tolist()
+    *_, target_start = plan_starts(profile, nodes, queued, fcfs=fcfs)
+    return target_start
 
 
 @dataclass(frozen=True)

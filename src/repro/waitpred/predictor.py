@@ -14,8 +14,11 @@ At each submission it freezes two numbers per job in the system:
 - a **scheduler estimate** from the real scheduler's estimator — what the
   simulated scheduler will base ordering/reservation decisions on.
 
-and calls :func:`repro.scheduler.simulator.forward_simulate` to learn
-when the new job would start in that predicted future.  Keeping the two
+and plans the scheduler forward over them
+(:func:`repro.waitpred.fast.predict_start_fast`: an exact queue walk
+where one exists, :func:`repro.scheduler.simulator.forward_simulate`
+otherwise) to learn when the new job would start in that predicted
+future.  Keeping the two
 separate is what gives the paper its tiny built-in backfill error
 (Table 4): with perfect durations the imagined schedule replays the real
 scheduler's decisions exactly, later arrivals aside.
@@ -30,9 +33,8 @@ from repro.scheduler.simulator import (
     RuntimeEstimator,
     SchedulerView,
     SystemSnapshot,
-    forward_simulate,
 )
-from repro.waitpred.fast import UnknownJobError
+from repro.waitpred.fast import UnknownJobError, predict_start_fast
 from repro.workloads.job import Job
 
 __all__ = ["WaitTimePredictor", "predict_wait"]
@@ -58,15 +60,14 @@ def predict_wait(
     target_job_id: int,
     *,
     scheduler_estimator: RuntimeEstimator | None = None,
-    fast: bool = True,
 ) -> float:
     """Predicted wait (seconds) of ``target_job_id`` from ``snapshot``.
 
     ``estimator`` supplies the believed durations; ``scheduler_estimator``
     (default: the same) supplies the estimates the simulated scheduler
-    decides by.  ``fast`` routes through the analytic shortcuts of
-    :mod:`repro.waitpred.fast` where they are exact (identical results,
-    much cheaper for long FCFS queues).
+    decides by.  The start comes from
+    :func:`repro.waitpred.fast.predict_start_fast`: an analytic walk
+    where one is exact, the reference forward simulation otherwise.
 
     Raises :class:`repro.waitpred.fast.UnknownJobError` when
     ``target_job_id`` is not in the snapshot's queue — already running,
@@ -82,16 +83,9 @@ def predict_wait(
         if scheduler_estimator is not None
         else None
     )
-    if fast:
-        from repro.waitpred.fast import predict_start_fast
-
-        start = predict_start_fast(
-            snapshot, policy, durations, target_job_id, estimates=estimates
-        )
-    else:
-        start = forward_simulate(
-            snapshot, policy, durations, target_job_id, estimates=estimates
-        )
+    start = predict_start_fast(
+        snapshot, policy, durations, target_job_id, estimates=estimates
+    )
     return start - snapshot.now
 
 
@@ -106,7 +100,6 @@ class WaitTimePredictor:
         scheduler_estimator: RuntimeEstimator | None = None,
         default: float = 600.0,
         fall_back_to_max: bool = True,
-        fast: bool = True,
         instrumentation=None,
     ) -> None:
         self.policy = policy
@@ -114,7 +107,6 @@ class WaitTimePredictor:
             predictor, default=default, fall_back_to_max=fall_back_to_max
         )
         self.scheduler_estimator = scheduler_estimator
-        self.fast = fast
         #: job_id -> predicted wait in seconds, recorded at submission.
         self.predicted_waits: dict[int, float] = {}
         # Prediction audit (see repro.obs.audit): record each wait
@@ -136,7 +128,6 @@ class WaitTimePredictor:
             self.estimator,
             qj.job_id,
             scheduler_estimator=self.scheduler_estimator,
-            fast=self.fast,
         )
         self.predicted_waits[qj.job_id] = predicted
         if self._audit is not None:

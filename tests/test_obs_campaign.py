@@ -289,6 +289,26 @@ class TestTelemetry:
         ]
         assert len(beats) == 1  # only the first slips through
 
+    def test_first_heartbeat_and_render_pass_on_a_fresh_clock(
+        self, tmp_path, monkeypatch
+    ):
+        """The rate limits start open: a monotonic clock still below the
+        period (a host up for seconds) must not drop the first event."""
+        monkeypatch.setattr("repro.obs.campaign.time.monotonic", lambda: 5.0)
+        stream = io.StringIO()
+        path = tmp_path / "c.jsonl"
+        with CampaignTelemetry(str(path), heartbeat_s=3600.0) as t:
+            t.campaign_started(cells_total=1, max_workers=1)
+            t.heartbeat(running=1)
+        beats = [
+            e for e in read_campaign_journal(str(path))
+            if e["type"] == "cell_heartbeat"
+        ]
+        assert len(beats) == 1
+        r = ProgressRenderer(stream, min_interval_s=3600.0)
+        r.update(CampaignMonitor.from_events(_simple_feed()))
+        assert "cells" in stream.getvalue()
+
     def test_campaign_ids_are_unique(self):
         assert CampaignTelemetry().campaign_id != CampaignTelemetry().campaign_id
 

@@ -136,6 +136,63 @@ class TestEventValidation:
         with pytest.raises(ValueError, match="precedes"):
             svc.submit(make_job(job_id=2), 5.0)
 
+    @staticmethod
+    def _state(svc):
+        return svc.now, svc.epoch, svc.snapshot()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_time_rejected(self, bad):
+        svc = _service(FCFSPolicy())
+        svc.submit(make_job(job_id=1, nodes=2), 1.0)
+        before = self._state(svc)
+        for event in (
+            lambda: svc.tick(bad),
+            lambda: svc.submit(make_job(job_id=2), bad),
+            lambda: svc.start(1, bad),
+        ):
+            with pytest.raises(ValueError, match="not finite"):
+                event()
+            assert self._state(svc) == before
+        assert svc.queued_ids == (1,)
+
+    def test_submit_rejects_width_outside_machine(self):
+        svc = _service(FCFSPolicy())
+        narrow = make_job(job_id=1, nodes=1)
+        object.__setattr__(narrow, "nodes", 0)  # Job itself refuses 0
+        before = self._state(svc)
+        for job in (narrow, make_job(job_id=2, nodes=TOTAL + 1)):
+            with pytest.raises(ValueError, match="nodes"):
+                svc.submit(job, 1.0)
+            assert self._state(svc) == before
+        assert svc.queued_ids == ()
+        svc.submit(make_job(job_id=3, nodes=TOTAL), 1.0)  # the edge is fine
+
+    def test_start_rejects_more_nodes_than_free(self):
+        svc = _service(FCFSPolicy())
+        svc.submit(make_job(job_id=1, nodes=8), 0.0)
+        svc.submit(make_job(job_id=2, nodes=5), 0.0)
+        svc.start(1, 1.0)
+        before = self._state(svc)
+        with pytest.raises(ValueError, match="free"):
+            svc.start(2, 2.0)
+        assert self._state(svc) == before
+        assert svc.queued_ids == (2,) and svc.running_ids == (1,)
+        svc.finish(1, 3.0)  # releasing the nodes makes the start legal
+        svc.start(2, 3.0)
+        assert svc.running_ids == (2,)
+
+    def test_server_answers_nan_tick_with_typed_error(self):
+        svc = _service(FCFSPolicy())
+        server = PredictionServer(("127.0.0.1", 0), svc)
+        try:
+            reply = server.dispatch({"op": "tick", "now": float("nan")})
+        finally:
+            server.server_close()
+        assert reply["ok"] is False
+        assert reply["error"] == "ValueError"
+        assert "not finite" in reply["message"]
+        assert svc.epoch == 0 and svc.now == 0.0
+
     def test_every_event_bumps_epoch(self):
         svc = _service(FCFSPolicy())
         assert svc.epoch == 0

@@ -196,26 +196,53 @@ class TestShortcutEdgeCases:
         assert backfill_predicted_start(snap, durations, 2) == pytest.approx(1.0)
 
     def test_observer_fast_and_slow_agree_end_to_end(self, anl_trace):
-        """Full replay: fast observer equals the reference observer."""
+        """Full replay: every submission's prediction equals a direct
+        forward simulation of that submission's snapshot, on the FCFS
+        walk, the self-consistent backfill walk and the fallback path."""
+        from repro.predictors.simple import MaxRuntimePredictor
+        from repro.waitpred.fast import _shortcut
+        from repro.waitpred.predictor import _freeze
         from repro.workloads.transform import head
 
         trace = head(anl_trace, 150)
-        waits = {}
-        for fast in (True, False):
-            policy = FCFSPolicy()
-            estimator = PointEstimator(ActualRuntimePredictor())
-            sim = Simulator(policy, estimator, trace.total_nodes)
+        cases = (
+            (FCFSPolicy, True, True),  # FCFS walk
+            (BackfillPolicy, False, False),  # backfill walk
+            (BackfillPolicy, True, None),  # user maxima: forward_simulate
+        )
+        for policy_cls, user_max, path in cases:
+            predictor = MaxRuntimePredictor() if user_max else ActualRuntimePredictor()
+            estimator = PointEstimator(predictor)
+            sim = Simulator(policy_cls(), estimator, trace.total_nodes)
             obs = WaitTimePredictor(
-                policy,
+                policy_cls(),
                 ActualRuntimePredictor(),
-                scheduler_estimator=estimator,
-                fast=fast,
+                scheduler_estimator=estimator if user_max else None,
             )
+            reference: dict[int, float] = {}
+
+            class Oracle:
+                def on_submit(self, view, qj):
+                    snap = SystemSnapshot(
+                        now=view.now,
+                        running=tuple(view.running),
+                        queued=tuple(view.queued),
+                        total_nodes=view.total_nodes,
+                    )
+                    durations = _freeze(snap, obs.estimator)
+                    estimates = _freeze(snap, estimator) if user_max else None
+                    assert _shortcut(obs.policy, durations, estimates) is path
+                    start = forward_simulate(
+                        snap, policy_cls(), durations, qj.job_id, estimates=estimates
+                    )
+                    reference[qj.job_id] = start - snap.now
+
             sim.add_observer(obs)
+            sim.add_observer(Oracle())
             sim.run(trace)
-            waits[fast] = obs.predicted_waits
-        assert waits[True].keys() == waits[False].keys()
-        for jid in waits[True]:
-            assert waits[True][jid] == pytest.approx(
-                waits[False][jid], rel=1e-9, abs=1e-3
-            )
+            assert obs.predicted_waits.keys() == reference.keys()
+            assert len(reference) == len(trace.jobs)
+            for jid, wait in reference.items():
+                assert obs.predicted_waits[jid] == pytest.approx(
+                    wait, rel=1e-9, abs=1e-3
+                )

@@ -4,8 +4,7 @@ The batched :class:`BatchAvailabilityProfile` must behave, world by
 world, exactly like S independent scalar
 :class:`AvailabilityProfile` instances fed the same releases and the
 same reservation sequence: identical anchors from ``reserve``,
-identical ``earliest_start`` answers, identical free-count queries, and
-the same never-clears errors.  Internally the batch profile is allowed
+identical free-count queries, and the same never-clears errors.  Internally the batch profile is allowed
 to be a *refinement* of the scalar step function — equal-time releases
 stay as zero-width twin columns — so state comparisons merge those
 twins first (mirroring ``tests/test_properties_reservations.py``'s
@@ -80,7 +79,7 @@ def profile_scenarios(draw):
             row[1] = row[0]  # exact equal-time run in every world
     ops = []
     for _ in range(draw(st.integers(1, 8))):
-        kind = draw(st.sampled_from(["nofloor", "floored", "earliest"]))
+        kind = draw(st.sampled_from(["nofloor", "floored"]))
         nodes = draw(st.integers(1, total))
         durs = [
             draw(st.floats(1e-6, 15.0)) for _ in range(n_worlds)
@@ -112,10 +111,8 @@ def test_property_batch_profile_tracks_scalar_profiles(case):
         try:
             if kind == "nofloor":
                 got = batch.reserve(nodes, durs)
-            elif kind == "floored":
-                got = batch.reserve(nodes, durs, not_before=np.asarray(floors))
             else:
-                got = batch.earliest_start(nodes, durs)
+                got = batch.reserve(nodes, durs, not_before=np.asarray(floors))
         except RuntimeError:
             # The batch raises only when some world never clears; the
             # scalar profile for such a world must agree.
@@ -130,12 +127,10 @@ def test_property_batch_profile_tracks_scalar_profiles(case):
         for s in range(n_worlds):
             if kind == "nofloor":
                 expected = scalars[s].reserve(nodes, float(durs[s]))
-            elif kind == "floored":
+            else:
                 expected = scalars[s].reserve(
                     nodes, float(durs[s]), not_before=float(floors[s])
                 )
-            else:
-                expected = scalars[s].earliest_start(nodes, float(durs[s]))
             assert got[s] == expected
         assert_worlds_match_scalars(batch, scalars, total)
 
@@ -168,7 +163,7 @@ class TestBatchAvailabilityProfile:
         with pytest.raises(ValueError):
             profile.reserve(5, np.ones(2))  # wider than the machine
         with pytest.raises(ValueError):
-            profile.earliest_start(5, np.ones(2))
+            profile.reserve(5, np.ones(2), not_before=np.ones(2))  # floored path
         with pytest.raises(ValueError):
             profile.reserve(1, np.asarray([-1.0, 1.0]))  # negative duration
 
@@ -181,21 +176,6 @@ class TestBatchAvailabilityProfile:
             profile.reserve(6, np.full(2, 2.0))
         with pytest.raises(RuntimeError):
             scalar.reserve(6, 2.0)
-
-    def test_earliest_start_does_not_mutate(self):
-        profile = BatchAvailabilityProfile.from_releases(
-            0.0, 2, 8, np.asarray([[4.0, 7.0], [3.0, 9.0]]), np.asarray([3, 3])
-        )
-        count = profile.count.copy()
-        w = int(count.max())
-        times = profile.times[:, :w].copy()
-        free = profile.free[:, :w].copy()
-        profile.earliest_start(4, np.full(2, 2.0))
-        profile.earliest_start(4, np.full(2, 2.0), not_before=np.full(2, 1.0))
-        # Capacity buffers may grow, but the tracked state must not move.
-        assert np.array_equal(profile.count, count)
-        assert np.array_equal(profile.times[:, :w], times)
-        assert np.array_equal(profile.free[:, :w], free)
 
     def test_capacity_growth_preserves_worlds(self):
         """Many reserves through a deliberately tiny initial capacity."""

@@ -9,9 +9,10 @@ from repro.predictors.base import PointEstimator, warm_start
 from repro.predictors.simple import ActualRuntimePredictor
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
-from repro.scheduler.policies import BackfillPolicy, FCFSPolicy
+from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
 from repro.scheduler.simulator import QueuedJob, RunningJob, SystemSnapshot
 from repro.utils.rng import rng_from_seed
+from repro.waitpred.fast import UnknownJobError
 from repro.waitpred.uncertainty import WaitInterval, predict_wait_interval
 from tests.conftest import make_job
 
@@ -99,6 +100,17 @@ class TestPredictWaitInterval:
         est = PointEstimator(ActualRuntimePredictor())
         iv = predict_wait_interval(snap, BackfillPolicy(), est, 2, samples=5)
         assert iv.median >= 0.0
+
+    @pytest.mark.parametrize("policy_cls", [FCFSPolicy, BackfillPolicy, LWFPolicy])
+    def test_job_not_queued_raises_typed_error(self, policy_cls):
+        """Like the scalar path: a running (1) or unknown (99) job is an
+        :class:`UnknownJobError`, on every policy's path."""
+        snap = snapshot_with_queue()
+        est = PointEstimator(ActualRuntimePredictor())
+        for jid in (1, 99):
+            with pytest.raises(UnknownJobError) as exc:
+                predict_wait_interval(snap, policy_cls(), est, jid, samples=4)
+            assert exc.value.job_id == jid
 
     def test_validation(self):
         snap = snapshot_with_queue()
