@@ -16,11 +16,11 @@ with a :class:`~repro.obs.trace.Tracer` and fixes the cost knobs:
   ``wait_predicted`` / ``prediction_resolved`` events plus a streaming
   :class:`~repro.obs.accuracy.AccuracyMonitor`).  ``None`` by default;
   pass ``audit=True`` to build one sharing the bundle's tracer.  The
-  engines bind the audited code paths only when this is set, so the
-  default replay executes zero audit instructions.
+  engines run their audit steps inline behind an ``audit is not None``
+  test, so the default replay pays one falsy check per handler.
 - ``provenance`` — emit decision-provenance events
   (``start_blocked``/``reservation_binding``/``backfill_hole_used``)
-  from the policies' traced walks, attributing each queued job's delay
+  from the policies' queue walks, attributing each queued job's delay
   to the running job or reservation that binds it.  Follows ``detail``
   when unset; requires an enabled tracer to have any effect (the
   engine's ``provenance_tracer`` gate stays ``None`` otherwise).

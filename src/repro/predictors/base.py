@@ -178,11 +178,8 @@ class PointEstimator:
         # permanently valid cache.
         self._mean_used = False
         # Prediction audit: when the instrumentation bundle carries one,
-        # shadow on_submit with the audited variant on this instance so
-        # the un-audited path executes zero extra instructions.
+        # on_submit records each submission-time estimate with it.
         self._audit = getattr(instrumentation, "audit", None)
-        if self._audit is not None:
-            self.on_submit = self._on_submit_audited  # type: ignore[method-assign]
 
     @property
     def name(self) -> str:
@@ -255,13 +252,11 @@ class PointEstimator:
         if self._bump_on_submit:
             self._epoch += 1
         self.predictor.on_submit(job, now)
-
-    def _on_submit_audited(self, job: Job, now: float) -> None:
-        type(self).on_submit(self, job, now)
-        est, source = self._estimate_with_source(job, now)
-        self._audit.record_runtime(
-            job.job_id, now, est, predictor=self.name, source=source
-        )
+        if self._audit is not None:
+            est, source = self._estimate_with_source(job, now)
+            self._audit.record_runtime(
+                job.job_id, now, est, predictor=self.name, source=source
+            )
 
     def _estimate_with_source(self, job: Job, now: float) -> tuple[float, str]:
         """The submission-time estimate plus which chain link produced it.

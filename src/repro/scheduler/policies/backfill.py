@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import Policy, emit_attributed
 
 __all__ = ["AvailabilityProfile", "BatchAvailabilityProfile", "BackfillPolicy"]
 
@@ -824,11 +824,7 @@ class BackfillPolicy(Policy):
         """
         now = view.now
         releases = self._seed_releases
-        running = view.running
-        if hasattr(running, "ids"):
-            ids = running.ids()
-        else:  # reference views expose plain sequences
-            ids = [rj.job_id for rj in running]
+        ids = view.running.ids()
         # dict(zip(...)) pairs release times with ("running_job", id)
         # tags entirely in C; zip stops at len(ids), leaving the active
         # reservations' trailing entries to the loop below.
@@ -1020,25 +1016,16 @@ class BackfillPolicy(Policy):
                 kind, bid = origin.get(start, _UNKNOWN_BINDING)
                 if binding.get(jid) != (kind, bid):
                     binding[jid] = (kind, bid)
-                    if bid is None:
-                        prov.emit(
-                            "reservation_binding",
-                            sim_time=now,
-                            job_id=jid,
-                            policy=self.name,
-                            start_s=start,
-                            blocker_kind=kind,
-                        )
-                    else:
-                        prov.emit(
-                            "reservation_binding",
-                            sim_time=now,
-                            job_id=jid,
-                            policy=self.name,
-                            start_s=start,
-                            blocker_kind=kind,
-                            blocker_id=bid,
-                        )
+                    emit_attributed(
+                        prov,
+                        "reservation_binding",
+                        bid,
+                        sim_time=now,
+                        job_id=jid,
+                        policy=self.name,
+                        start_s=start,
+                        blocker_kind=kind,
+                    )
                 mi += 1
                 if mi == n_moved:
                     return

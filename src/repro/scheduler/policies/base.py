@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Sequence
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.scheduler.simulator import QueuedJob, SchedulerView
 
-__all__ = ["Policy", "ReleaseAttributor"]
+__all__ = ["Policy", "ReleaseAttributor", "emit_attributed"]
 
 
 class Policy(ABC):
@@ -38,6 +38,18 @@ class Policy(ABC):
         return f"{type(self).__name__}()"
 
 
+def emit_attributed(prov, etype: str, blocker_id: int | None, **fields) -> None:
+    """Emit a provenance event, naming ``blocker_id`` only when known.
+
+    A binding constraint the policy could not attribute
+    (``blocker_kind="unknown"``) carries no ``blocker_id`` field at all:
+    the trace schema types the field as an int whenever it is present.
+    """
+    if blocker_id is not None:
+        fields["blocker_id"] = blocker_id
+    prov.emit(etype, **fields)
+
+
 class ReleaseAttributor:
     """Names the release that first clears a blocked job's node deficit.
 
@@ -51,8 +63,8 @@ class ReleaseAttributor:
     capacity) are ignored, exactly as the policies themselves do.
 
     Estimate calls made here (``view.remaining``) are value-deterministic
-    within an estimator epoch and never alter schedules, so the traced
-    walks that use this stay selection-identical to the plain walks.
+    within an estimator epoch and never alter schedules, so a walk that
+    uses this under provenance selects exactly what it selects without.
     """
 
     __slots__ = ("_releases",)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.policies.base import Policy
+from repro.scheduler.policies.base import Policy, emit_attributed
 
 __all__ = ["EASYBackfillPolicy"]
 
@@ -142,16 +142,10 @@ class EASYBackfillPolicy(Policy):
                 kind, bid = origin.get(est_start, ("unknown", None))
                 if self._last_blocked.get(qj.job_id) != (kind, bid):
                     self._last_blocked[qj.job_id] = (kind, bid)
-                    if bid is None:
-                        prov.emit(
-                            "start_blocked", sim_time=now, job_id=qj.job_id,
-                            policy=self.name, blocker_kind=kind,
-                        )
-                    else:
-                        prov.emit(
-                            "start_blocked", sim_time=now, job_id=qj.job_id,
-                            policy=self.name, blocker_kind=kind, blocker_id=bid,
-                        )
+                    emit_attributed(
+                        prov, "start_blocked", bid, sim_time=now,
+                        job_id=qj.job_id, policy=self.name, blocker_kind=kind,
+                    )
         return started
 
     def _emit_binding(self, prov, now, head, head_start, origin) -> None:
@@ -160,14 +154,7 @@ class EASYBackfillPolicy(Policy):
         if self._last_binding.get(head.job_id) == (kind, bid):
             return
         self._last_binding[head.job_id] = (kind, bid)
-        if bid is None:
-            prov.emit(
-                "reservation_binding", sim_time=now, job_id=head.job_id,
-                policy=self.name, start_s=head_start, blocker_kind=kind,
-            )
-        else:
-            prov.emit(
-                "reservation_binding", sim_time=now, job_id=head.job_id,
-                policy=self.name, start_s=head_start, blocker_kind=kind,
-                blocker_id=bid,
-            )
+        emit_attributed(
+            prov, "reservation_binding", bid, sim_time=now, job_id=head.job_id,
+            policy=self.name, start_s=head_start, blocker_kind=kind,
+        )

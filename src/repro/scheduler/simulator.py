@@ -34,13 +34,14 @@ per-pass.
 
 Instrumentation
 ---------------
-Every simulator carries an :class:`repro.obs.Instrumentation`, but the
-replay loop itself stays observability-free: job life-cycle counts and
-the wait-time histogram are *derived* from state the engine keeps anyway
-(``_started``, ``_records``, ``running``) when :meth:`metrics_snapshot`
-folds them into the registry, and the traced variants of the event
-handlers/scheduling pass are bound over the plain ones in ``__init__``
-only when tracing, detail mode or pass timing is requested.  See the
+Every simulator carries an :class:`repro.obs.Instrumentation`, and each
+handler has exactly one body: its instrumentation sits inline behind
+flags fixed in ``__init__`` (``_trace_enabled``, ``_time_passes``,
+``_track_depth``, ``_audit``, and the view's ``_detail``), so a plain
+replay pays one falsy test per gate and nothing else.  Job life-cycle
+counts and the wait-time histogram are *derived* from state the engine
+keeps anyway (``_started``, ``_records``, ``running``) when
+:meth:`metrics_snapshot` folds them into the registry.  See the
 Observability section of ``docs/architecture.md`` for the event taxonomy
 and the overhead budget.
 """
@@ -52,6 +53,7 @@ from typing import Any, Iterable, Iterator, Protocol, Sequence, runtime_checkabl
 
 from repro.obs import (
     BACKFILL_DEPTH_BUCKETS,
+    NULL_TRACER,
     Instrumentation,
     PASS_DURATION_BUCKETS,
     WAIT_TIME_BUCKETS,
@@ -78,6 +80,9 @@ __all__ = [
 #: Smallest duration/remaining-time an estimate may collapse to, so the
 #: schedule never stalls on a zero or negative estimate.
 _EPS = 1e-6
+
+#: The null tracer's shared no-op span, entered by untimed passes.
+_NO_SPAN = NULL_TRACER.span("schedule_pass")
 
 
 @runtime_checkable
@@ -228,6 +233,7 @@ class SchedulerView:
         self._cache = sim._shared_estimate_cache()
         self._remaining: dict[int, float] = {}
         self._elapsed_invariant = sim._est_invariant
+        self._detail = sim.obs.detail
 
     @property
     def now(self) -> float:
@@ -300,16 +306,30 @@ class SchedulerView:
         return sim._tracer if sim._provenance else None
 
     def estimate(self, qj: QueuedJob) -> float:
-        """Estimated total run time of a queued job (>= tiny epsilon)."""
+        """Estimated total run time of a queued job (>= tiny epsilon).
+
+        In detail mode (:class:`repro.obs.Instrumentation` ``detail=True``)
+        hits are counted too and, when tracing, every lookup emits a
+        ``cache_hit``/``cache_miss`` event.
+        """
         est = self._cache.get(qj.job_id)
+        if est is not None and not self._detail:
+            return est
+        sim = self._sim
         if est is None:
-            sim = self._sim
             sim._n_est_misses += 1
-            est = sim.estimator.predict(qj.job, 0.0, sim.now)
-            est = float(est)
+            est = float(sim.estimator.predict(qj.job, 0.0, sim.now))
             if est < _EPS:
                 est = _EPS
             self._cache[qj.job_id] = est
+            etype = "cache_miss"
+        else:
+            sim._n_est_hits += 1
+            etype = "cache_hit"
+        if self._detail and sim._trace_enabled:
+            sim._tracer.emit(
+                etype, sim_time=sim.now, job_id=qj.job_id, policy=sim._policy_name
+            )
         return est
 
     def remaining(self, rj: RunningJob) -> float:
@@ -340,43 +360,6 @@ class SchedulerView:
     def invalidate(self) -> None:
         self._cache.clear()
         self._remaining.clear()
-
-
-class InstrumentedSchedulerView(SchedulerView):
-    """A :class:`SchedulerView` that also counts estimate-cache hits and,
-    when tracing, emits per-estimate ``cache_hit``/``cache_miss`` events.
-
-    Selected by the simulator only in detail mode
-    (:class:`repro.obs.Instrumentation` ``detail=True``) so the default
-    hot path — the plain view above — stays byte-for-byte unchanged.
-    """
-
-    def estimate(self, qj: QueuedJob) -> float:
-        sim = self._sim
-        est = self._cache.get(qj.job_id)
-        if est is not None:
-            sim._n_est_hits += 1
-            if sim._trace_enabled:
-                sim._tracer.emit(
-                    "cache_hit",
-                    sim_time=sim.now,
-                    job_id=qj.job_id,
-                    policy=sim._policy_name,
-                )
-            return est
-        sim._n_est_misses += 1
-        est = float(sim.estimator.predict(qj.job, 0.0, sim.now))
-        if est < _EPS:
-            est = _EPS
-        self._cache[qj.job_id] = est
-        if sim._trace_enabled:
-            sim._tracer.emit(
-                "cache_miss",
-                sim_time=sim.now,
-                job_id=qj.job_id,
-                policy=sim._policy_name,
-            )
-        return est
 
 
 @dataclass(frozen=True)
@@ -432,14 +415,14 @@ class Simulator:
         #: int attributes and append raw samples; metrics_snapshot() folds
         #: them into the registry lazily, so the default replay pays only
         #: integer increments and list appends.  Pass timing, hit counting,
-        #: depth tracking and event emission are gated by the knobs below.
+        #: depth tracking, auditing and event emission are gated inline by
+        #: the flags below.
         obs = instrumentation if instrumentation is not None else Instrumentation()
         self.obs = obs
         self._tracer = obs.tracer
         self._trace_enabled = obs.tracer.enabled
         self._time_passes = obs.time_passes
         self._provenance = bool(obs.provenance) and self._trace_enabled
-        self._view_cls = InstrumentedSchedulerView if obs.detail else SchedulerView
         self._policy_name = policy.name
         self._n_events = 0
         self._n_passes = 0
@@ -452,27 +435,11 @@ class Simulator:
         #: Backfill-depth tracking walks the queue once per selecting pass;
         #: the default mode skips it to stay inside the overhead budget.
         self._track_depth = obs.detail or obs.tracer.enabled
-        if self._trace_enabled:
-            # Shadow the plain handlers with the event-emitting variants;
-            # the untraced replay keeps handlers with zero obs code.
-            self._handle_submit = self._handle_submit_traced
-            self._handle_finish = self._handle_finish_traced
         self._audit = obs.audit
-        if self._audit is not None:
-            # Wrap whatever finish/start paths the modes above bound —
-            # composing with tracing instead of multiplying variants.
-            # The default replay keeps the plain methods untouched.
-            self._inner_handle_finish = self._handle_finish
-            self._handle_finish = self._handle_finish_audited
-            self._inner_start = self._start
-            self._start = self._start_audited
         if self._time_passes:
             self._h_pass = obs.registry.histogram(
                 "sim.pass_duration_seconds", PASS_DURATION_BUCKETS
             )
-            # Shadow the plain pass with the span-wrapped variant; the
-            # default path keeps the unwrapped method (zero extra frames).
-            self._schedule_pass = self._schedule_pass_timed
         if obs.timeseries is not None:
             self.add_observer(obs.timeseries)
 
@@ -725,18 +692,34 @@ class Simulator:
     # event handlers
     # ------------------------------------------------------------------
     def _handle_submit(self, job: Job) -> None:
+        if self._trace_enabled:
+            self._tracer.emit(
+                "job_submitted",
+                sim_time=self.now,
+                job_id=job.job_id,
+                policy=self._policy_name,
+                nodes=job.nodes,
+            )
         qj = QueuedJob(job)
         self.queued.append(qj)
         self.state_epoch += 1
         self._notify_estimator("on_submit", job)
         if self._observers:
-            view = self._view_cls(self)
+            view = SchedulerView(self)
             for obs in self._observers:
                 hook = getattr(obs, "on_submit", None)
                 if hook is not None:
                     hook(view, qj)
 
     def _handle_finish(self, rj: RunningJob) -> None:
+        if self._trace_enabled:
+            self._tracer.emit(
+                "job_finished",
+                sim_time=self.now,
+                job_id=rj.job_id,
+                policy=self._policy_name,
+                run_s=self.now - rj.start_time,
+            )
         try:
             self.running.remove(rj)
         except ValueError:
@@ -754,52 +737,16 @@ class Simulator:
         )
         self._notify_estimator("on_finish", rj.job)
         if self._observers:
-            view = self._view_cls(self)
+            view = SchedulerView(self)
             for obs in self._observers:
                 hook = getattr(obs, "on_finish", None)
                 if hook is not None:
                     hook(view, rj.job)
-
-    def _handle_submit_traced(self, job: Job) -> None:
-        """:meth:`_handle_submit` plus the ``job_submitted`` event — bound
-        over the plain handler in ``__init__`` when tracing is on."""
-        self._tracer.emit(
-            "job_submitted",
-            sim_time=self.now,
-            job_id=job.job_id,
-            policy=self._policy_name,
-            nodes=job.nodes,
-        )
-        type(self)._handle_submit(self, job)
-
-    def _handle_finish_traced(self, rj: RunningJob) -> None:
-        """:meth:`_handle_finish` plus the ``job_finished`` event."""
-        self._tracer.emit(
-            "job_finished",
-            sim_time=self.now,
-            job_id=rj.job_id,
-            policy=self._policy_name,
-            run_s=self.now - rj.start_time,
-        )
-        type(self)._handle_finish(self, rj)
-
-    def _handle_finish_audited(self, rj: RunningJob) -> None:
-        """Run the finish path the other modes bound (plain or traced),
-        then resolve the job's run-time predictions against the actual."""
-        self._inner_handle_finish(rj)
-        self._audit.resolve_runtime(
-            rj.job_id, self.now, self.now - rj.start_time,
-            policy=self._policy_name,
-        )
-
-    def _start_audited(self, qj: QueuedJob) -> None:
-        """Run the bound start path, then resolve the job's wait-time
-        predictions against the realized wait."""
-        wait_s = self.now - qj.job.submit_time
-        self._inner_start(qj)
-        self._audit.resolve_wait(
-            qj.job_id, self.now, wait_s, policy=self._policy_name
-        )
+        if self._audit is not None:
+            self._audit.resolve_runtime(
+                rj.job_id, self.now, self.now - rj.start_time,
+                policy=self._policy_name,
+            )
 
     def _handle_reservation_start(self, res: Reservation) -> None:
         self.pending_reservations.remove(res)
@@ -844,50 +791,37 @@ class Simulator:
         self.waiting_reservations = still_waiting
 
     def _schedule_pass(self) -> list[QueuedJob]:
-        if not self.queued:
-            return []
-        if self.pool.free == 0:
+        if not self.queued or self.pool.free == 0:
             # Every job needs >= 1 node, so no policy can start anything;
             # reservations are recomputed from scratch next pass anyway.
             return []
-        self._n_passes += 1
-        view = self._view_cls(self)
-        selections = list(self.policy.select(view))
-        selected_ids = {qj.job_id for qj in selections}
-        if len(selected_ids) != len(selections):
-            raise RuntimeError(f"{self.policy.name} selected a job twice")
-        if self._track_depth and selections:
-            depths = self._selection_depths(selected_ids)
+        if self._time_passes:
+            span = self._tracer.span(
+                "schedule_pass",
+                histogram=self._h_pass,
+                sim_time=self.now,
+                policy=self._policy_name,
+                queued=len(self.queued),
+            )
+        else:
+            span = _NO_SPAN
+        with span:
+            self._n_passes += 1
+            selections = list(self.policy.select(SchedulerView(self)))
+            selected_ids = {qj.job_id for qj in selections}
+            if len(selected_ids) != len(selections):
+                raise RuntimeError(f"{self.policy.name} selected a job twice")
+            depths = (
+                self._selection_depths(selected_ids)
+                if self._track_depth and selections
+                else None
+            )
             for qj in selections:
                 if qj not in self.queued:
                     raise RuntimeError(
                         f"{self.policy.name} selected job {qj.job_id} not in queue"
                     )
-                self._start_tracked(qj, depths.get(qj.job_id, 0))
-            return selections
-        for qj in selections:
-            if qj not in self.queued:
-                raise RuntimeError(
-                    f"{self.policy.name} selected job {qj.job_id} not in queue"
-                )
-            self._start(qj)
-        return selections
-
-    def _schedule_pass_timed(self) -> list[QueuedJob]:
-        """Span-wrapped pass, bound over :meth:`_schedule_pass` in
-        ``__init__`` when pass timing is on — the default replay keeps the
-        plain method and never sees this frame.  The early exits mirror the
-        plain pass so spans map one-to-one onto counted passes."""
-        if not self.queued or self.pool.free == 0:
-            return []
-        with self._tracer.span(
-            "schedule_pass",
-            histogram=self._h_pass,
-            sim_time=self.now,
-            policy=self._policy_name,
-            queued=len(self.queued),
-        ) as span:
-            selections = type(self)._schedule_pass(self)
+                self._start(qj, None if depths is None else depths.get(qj.job_id, 0))
             span.annotate(started=len(selections))
         return selections
 
@@ -906,7 +840,9 @@ class Simulator:
                 ahead += 1
         return depths
 
-    def _start(self, qj: QueuedJob) -> None:
+    def _start(self, qj: QueuedJob, depth: int | None) -> None:
+        """Start ``qj`` now.  ``depth`` (set only while depth tracking) is
+        how many unselected jobs it overtook; > 0 marks a backfill."""
         self.pool.allocate(qj.job.nodes)  # raises if the policy overcommitted
         self.queued.remove(qj)
         self.state_epoch += 1
@@ -921,16 +857,18 @@ class Simulator:
         self._events.push(self.now + max(qj.job.run_time, 0.0), FINISH, rj)
         self._notify_estimator("on_start", qj.job)
         if self._observers:
-            view = self._view_cls(self)
+            view = SchedulerView(self)
             for obs in self._observers:
                 hook = getattr(obs, "on_start", None)
                 if hook is not None:
                     hook(view, qj.job)
-
-    def _start_tracked(self, qj: QueuedJob, depth: int) -> None:
-        """:meth:`_start` plus depth accounting and life-cycle events —
-        the detail/tracing start path (see ``_track_depth``)."""
-        self._start(qj)
+        if self._audit is not None:
+            self._audit.resolve_wait(
+                qj.job_id, self.now, self.now - qj.job.submit_time,
+                policy=self._policy_name,
+            )
+        if depth is None:
+            return
         self._depth_samples.append(depth)
         if depth > 0:
             self._n_backfilled += 1

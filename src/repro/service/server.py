@@ -20,6 +20,9 @@ Operations
                              histogram).
 ``shutdown``                 stop the server loop.
 
+A request line longer than :data:`MAX_LINE` bytes gets a ``ValueError``
+error frame, and the server then closes that connection.
+
 A ``threading.Lock`` serializes all service access, so the threaded
 server stays correct without the service itself being thread-safe.
 """
@@ -36,6 +39,11 @@ from repro.service.service import PredictionService, UnknownJobError
 from repro.workloads.job import Job
 
 __all__ = ["PredictionServer", "ServiceClient", "job_from_wire", "job_to_wire"]
+
+#: Longest request line the server reads, newline included.  A longer
+#: line is answered with a ``ValueError`` frame and its connection closed,
+#: so one client cannot make the server buffer without bound.
+MAX_LINE = 1 << 20
 
 #: Job fields carried on the wire (the prediction-relevant subset).
 _JOB_FIELDS = ("job_id", "submit_time", "run_time", "nodes")
@@ -67,7 +75,21 @@ def job_from_wire(payload: dict[str, Any]) -> Job:
 class _Handler(socketserver.StreamRequestHandler):
     def handle(self) -> None:  # pragma: no cover - exercised via sockets
         server: PredictionServer = self.server  # type: ignore[assignment]
-        for raw in self.rfile:
+        while True:
+            raw = self.rfile.readline(MAX_LINE + 1)
+            if not raw:
+                return
+            if len(raw) > MAX_LINE:
+                self._reply({
+                    "ok": False,
+                    "error": "ValueError",
+                    "message": f"request line exceeds {MAX_LINE} bytes",
+                })
+                # Discard the rest of the line before closing, so the
+                # close does not reset the connection under the reply.
+                while raw and not raw.endswith(b"\n"):
+                    raw = self.rfile.readline(MAX_LINE)
+                return
             line = raw.strip()
             if not line:
                 continue
@@ -80,13 +102,16 @@ class _Handler(socketserver.StreamRequestHandler):
                     "error": type(exc).__name__,
                     "message": str(exc),
                 }
-            self.wfile.write(json.dumps(response).encode() + b"\n")
-            self.wfile.flush()
+            self._reply(response)
             if response.get("bye"):
                 # Shut down from a fresh thread: shutdown() blocks until
                 # serve_forever exits, which waits on this very handler.
                 threading.Thread(target=server.shutdown, daemon=True).start()
                 return
+
+    def _reply(self, response: dict[str, Any]) -> None:  # pragma: no cover
+        self.wfile.write(json.dumps(response).encode() + b"\n")
+        self.wfile.flush()
 
 
 class PredictionServer(socketserver.ThreadingTCPServer):

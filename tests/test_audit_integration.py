@@ -7,9 +7,9 @@ Three properties the report pipeline stands on:
    ``evaluate_wait_predictions`` for waits) within float tolerance;
 2. attaching the audit never changes the schedule or the estimator's
    fallback tallies;
-3. the disabled path binds zero audit machinery (no shadowed methods,
-   no per-instance handlers) — the hot path is untouched, not merely
-   guarded.
+3. the disabled path binds zero audit machinery (no per-instance
+   handlers), and with tracing on each resolution sits next to the
+   life-cycle event it resolves.
 """
 
 from __future__ import annotations
@@ -181,12 +181,41 @@ class TestZeroCostWhenDisabled:
         assert sim._audit is None
         assert not hasattr(sim, "_inner_handle_finish")
 
-    def test_audit_composes_with_tracing(self):
-        inst = Instrumentation(tracer=Tracer(ListSink()), audit=True)
+    def test_audit_composes_with_tracing(self, small_trace):
+        """Under tracing plus audit, each resolution lands next to the
+        life-cycle event it resolves: a job's run-time prediction resolves
+        after its ``job_finished``, its wait prediction before its
+        ``job_started``."""
+        sink = ListSink()
+        inst = Instrumentation(tracer=Tracer(sink), audit=True)
+        estimator = PointEstimator(
+            ActualRuntimePredictor(), instrumentation=inst
+        )
         sim = Simulator(
-            FCFSPolicy(), PointEstimator(ActualRuntimePredictor()), 10,
+            FCFSPolicy(), estimator, small_trace.total_nodes,
             instrumentation=inst,
         )
-        # The audited wrapper delegates to the traced handler it shadowed.
-        assert sim._handle_finish.__func__ is Simulator._handle_finish_audited
-        assert sim._inner_handle_finish.__func__ is Simulator._handle_finish_traced
+        sim.add_observer(
+            WaitTimePredictor(
+                FCFSPolicy(),
+                ActualRuntimePredictor(),
+                scheduler_estimator=estimator,
+                instrumentation=inst,
+            )
+        )
+        sim.run(small_trace)
+
+        position: dict[tuple, int] = {}
+        for i, event in enumerate(sink.events):
+            kind = event["type"]
+            if kind == "prediction_resolved":
+                kind = f"resolved_{event['kind']}"
+            position.setdefault((kind, event.get("job_id")), i)
+        for job in small_trace:
+            jid = job.job_id
+            assert position[("job_finished", jid)] < position[
+                ("resolved_run_time", jid)
+            ]
+            assert position[("resolved_wait_time", jid)] < position[
+                ("job_started", jid)
+            ]

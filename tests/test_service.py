@@ -384,3 +384,12 @@ class TestServer:
             with pytest.raises(RuntimeError):
                 client.call({"op": "submit", "job": {"job_id": 1}, "now": 0.0})
             assert client.ping()  # connection survives error responses
+
+    def test_overlong_line_gets_typed_error_and_close(self, server):
+        with self._client(server) as client:
+            with pytest.raises(RuntimeError, match="ValueError: request line exceeds"):
+                client.call({"op": "ping", "pad": "x" * (2 << 20)})
+            with pytest.raises(ConnectionError):
+                client.ping()  # that connection is closed
+        with self._client(server) as client:
+            assert client.ping()  # a fresh connection is served

@@ -220,52 +220,98 @@ class SpySink:
 
 
 def _replay(policy_cls, trace, inst=None):
+    """Replay under ``inst``; return the schedule and the metrics snapshot."""
+    inst = inst if inst is not None else Instrumentation()
     sim = Simulator(
         policy_cls(),
         PointEstimator(make_predictor("max", trace), instrumentation=inst),
         trace.total_nodes,
-        instrumentation=inst if inst is not None else Instrumentation(),
+        instrumentation=inst,
     )
-    return sim.run(trace)
+    return sim.run(trace), sim.metrics_snapshot()
 
 
+#: Instrumentation modes, each a factory for a fresh bundle; traced
+#: modes collect into a ListSink.  Every mode must replay the plain
+#: mode's schedule exactly.
+INSTRUMENTATION_MODES = {
+    "plain": lambda: Instrumentation(),
+    "trace": lambda: Instrumentation(tracer=Tracer(ListSink())),
+    "trace+detail": lambda: Instrumentation(
+        tracer=Tracer(ListSink()), detail=True
+    ),
+    "trace+provenance": lambda: Instrumentation(
+        tracer=Tracer(ListSink()), provenance=True
+    ),
+    "trace+audit": lambda: Instrumentation(
+        tracer=Tracer(ListSink()), audit=True
+    ),
+    "trace+detail+audit+timeseries": lambda: Instrumentation(
+        tracer=Tracer(ListSink()), detail=True, audit=True, timeseries=True
+    ),
+    "detail": lambda: Instrumentation(detail=True),
+    "audit": lambda: Instrumentation(audit=True),
+    "time_passes": lambda: Instrumentation(time_passes=True),
+}
+
+#: Counters a mode may legitimately move: hits are counted only in
+#: detail mode, backfills only while depth tracking (detail or tracing).
+_GATED_COUNTERS = {"sim.estimate_cache_hits", "sim.jobs_backfilled"}
+#: Estimate-lookup tallies: the traced policy walks make extra
+#: (value-deterministic) lookups, so these move only when tracing.
+_LOOKUP_COUNTERS = {"sim.estimate_cache_misses", "sim.estimate_cache_flushes"}
+
+_PLAIN: dict[str, tuple] = {}
+
+
+@pytest.mark.parametrize("mode", sorted(INSTRUMENTATION_MODES))
 @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
-def test_provenance_replay_schedule_identical(policy_name):
-    """Plain, traced, and traced+provenance replays are bit-identical.
+def test_provenance_replay_schedule_identical(policy_name, mode):
+    """Every instrumentation mode replays the plain schedule bit-identically.
 
-    Provenance mode re-routes the policies through traced walks that do
-    extra (value-deterministic) estimate lookups and origin bookkeeping;
-    the schedules must not move by a single float.
+    Tracing and provenance re-route the policies through walks that do
+    extra (value-deterministic) estimate lookups and origin bookkeeping,
+    audit and detail add inline work to the engine's handlers; the
+    schedules must not move by a single float, and the engine's
+    life-cycle counters and wait histogram must not move at all.
     """
     trace = parity_trace("ANL")
     policy_cls = ALL_POLICIES[policy_name]
+    if policy_name not in _PLAIN:
+        _PLAIN[policy_name] = _replay(policy_cls, trace)
+    res_plain, snap_plain = _PLAIN[policy_name]
+    inst = INSTRUMENTATION_MODES[mode]()
+    res, snap = _replay(policy_cls, trace, inst)
 
-    res_plain = _replay(policy_cls, trace)
-    plain_sink = ListSink()
-    res_traced = _replay(
-        policy_cls, trace, Instrumentation(tracer=Tracer(plain_sink))
-    )
-    detail_sink = ListSink()
-    res_detail = _replay(
-        policy_cls, trace,
-        Instrumentation(tracer=Tracer(detail_sink), detail=True),
-    )
+    assert res.records == res_plain.records
 
-    assert res_plain.records == res_traced.records
-    assert res_plain.records == res_detail.records
+    traced = inst.tracer.enabled
+    skip = _GATED_COUNTERS | (_LOOKUP_COUNTERS if traced else set())
 
-    # Provenance events appear only in detail (provenance) mode...
-    assert not [
-        e for e in plain_sink.events if e["type"] in PROVENANCE_EVENT_TYPES
-    ]
-    provenance = [
-        e for e in detail_sink.events if e["type"] in PROVENANCE_EVENT_TYPES
-    ]
-    # ...where every policy finds contention to attribute on this trace,
-    # and every emitted event passes the schema (blocker kinds included).
-    assert provenance
-    for event in provenance:
-        validate_event(event)
+    def pinned(counters):
+        return {
+            k: v for k, v in counters.items()
+            if k not in skip and not (traced and k.startswith("estimator."))
+        }
+
+    assert pinned(snap["counters"]) == pinned(snap_plain["counters"])
+    wait = "sim.wait_time_seconds"
+    assert snap["histograms"][wait] == snap_plain["histograms"][wait]
+    n_timed = snap["histograms"]["sim.pass_duration_seconds"]["count"]
+    n_passes = snap["counters"]["sim.schedule_passes"]
+    assert n_timed == (n_passes if inst.time_passes else 0)
+
+    # Provenance events appear only when provenance is on, where every
+    # policy finds contention to attribute on this trace, and every
+    # emitted event passes the schema (blocker kinds included).
+    events = getattr(inst.tracer.sink, "events", [])
+    provenance = [e for e in events if e["type"] in PROVENANCE_EVENT_TYPES]
+    if traced and inst.provenance:
+        assert provenance
+        for event in provenance:
+            validate_event(event)
+    else:
+        assert not provenance
 
 
 @pytest.mark.parametrize("policy_name", sorted(ALL_POLICIES))
@@ -276,11 +322,11 @@ def test_disabled_instrumentation_never_reaches_sink(policy_name):
     trace = parity_trace("ANL")
     policy_cls = ALL_POLICIES[policy_name]
     spy = SpySink()
-    res_spy = _replay(
+    res_spy, _ = _replay(
         policy_cls, trace,
         Instrumentation(tracer=Tracer(spy), detail=True),
     )
-    res_plain = _replay(policy_cls, trace)
+    res_plain, _ = _replay(policy_cls, trace)
     assert spy.calls == 0
     assert res_spy.records == res_plain.records
 
