@@ -106,6 +106,10 @@ class GibbonsPredictor(RuntimePredictor):
         self._store: dict[str, dict[tuple, dict[int, _SubCategory]]] = {
             lvl: defaultdict(dict) for lvl in self._LEVELS
         }
+        # (level, parent key) -> (intercept, slope) of the regression across
+        # that parent's subcategories, or None when there are too few; an
+        # entry is dropped when the parent gains a point.
+        self._fits: dict[tuple[str, tuple], tuple[float, float] | None] = {}
 
     # ------------------------------------------------------------------
     def _executable(self, job: Job) -> str | None:
@@ -138,6 +142,7 @@ class GibbonsPredictor(RuntimePredictor):
             if sub is None:
                 sub = subs[nbin] = _SubCategory()
             sub.add(job)
+            self._fits.pop((level, key), None)
 
     # ------------------------------------------------------------------
     def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:
@@ -161,7 +166,7 @@ class GibbonsPredictor(RuntimePredictor):
                         source=f"gibbons:{level or '()'}:mean",
                     )
             # Regression template across the parent's subcategories.
-            est = self._regress(subs, job.nodes)
+            est = self._regress(level, key, subs, job.nodes)
             if est is not None:
                 return Prediction(
                     estimate=max(est, elapsed),
@@ -170,7 +175,22 @@ class GibbonsPredictor(RuntimePredictor):
                 )
         return None
 
-    def _regress(self, subs: dict[int, _SubCategory], nodes: int) -> float | None:
+    def _regress(
+        self, level: str, key: tuple, subs: dict[int, _SubCategory], nodes: int
+    ) -> float | None:
+        try:
+            fit = self._fits[(level, key)]
+        except KeyError:
+            fit = self._fits[(level, key)] = self._fit(subs)
+        if fit is None:
+            return None
+        intercept, slope = fit
+        est = intercept + slope * nodes
+        if not math.isfinite(est) or est <= 0.0:
+            return None
+        return est
+
+    def _fit(self, subs: dict[int, _SubCategory]) -> tuple[float, float] | None:
         cells = [s for s in subs.values() if s.run_times]
         if len(cells) < self.min_subcategories:
             return None
@@ -184,8 +204,4 @@ class GibbonsPredictor(RuntimePredictor):
                 # spread were 10% of its mean, floored at 1 s².
                 var = max((0.1 * c.mean_run_time()) ** 2, 1.0)
             ws.append(1.0 / var)
-        intercept, slope = fit_weighted_linear(xs, ys, ws)
-        est = intercept + slope * nodes
-        if not math.isfinite(est) or est <= 0.0:
-            return None
-        return est
+        return fit_weighted_linear(xs, ys, ws)

@@ -43,6 +43,11 @@ class SmithPredictor(RuntimePredictor):
         self.confidence = confidence
         # Categories keyed by (template index, category key).
         self._categories: dict[tuple[int, tuple], Category] = {}
+        # job_id -> (job, its category keys): computing a job's keys costs
+        # one attribute walk per template, and a queued or running job is
+        # predicted on every scheduling pass.  Keyed by id but checked by
+        # identity, so a ``with_()`` copy reusing the id gets its own keys.
+        self._keys: dict[int, tuple[Job, tuple[tuple[int, tuple], ...]]] = {}
         # How often each template's category won the smallest-CI contest.
         self._wins: list[int] = [0] * len(self.templates)
         self._misses = 0
@@ -59,11 +64,8 @@ class SmithPredictor(RuntimePredictor):
     # ------------------------------------------------------------------
     def predict(self, job: Job, elapsed: float = 0.0, now: float = 0.0) -> Prediction | None:
         best: tuple[float, float, int] | None = None  # (interval, estimate, idx)
-        for idx, template in enumerate(self.templates):
-            key = template.category_key(job)
-            if key is None:
-                continue
-            cat = self._categories.get((idx, key))
+        for cat_key in self._category_keys(job):
+            cat = self._categories.get(cat_key)
             if cat is None:
                 continue
             result = cat.predict(job, elapsed, self.confidence)
@@ -71,7 +73,7 @@ class SmithPredictor(RuntimePredictor):
                 continue
             est, hw = result
             if best is None or hw < best[0]:
-                best = (hw, est, idx)
+                best = (hw, est, cat_key[0])
         if best is None:
             self._misses += 1
             return None
@@ -82,15 +84,27 @@ class SmithPredictor(RuntimePredictor):
         )
 
     def on_finish(self, job: Job, now: float) -> None:
+        for cat_key in self._category_keys(job):
+            cat = self._categories.get(cat_key)
+            if cat is None:
+                cat = Category(self.templates[cat_key[0]])
+                self._categories[cat_key] = cat
+            cat.add(job)
+        self._keys.pop(job.job_id, None)
+
+    def _category_keys(self, job: Job) -> tuple[tuple[int, tuple], ...]:
+        """``((template index, category key), ...)`` for the job, memoized."""
+        entry = self._keys.get(job.job_id)
+        if entry is not None and entry[0] is job:
+            return entry[1]
+        keys = []
         for idx, template in enumerate(self.templates):
             key = template.category_key(job)
-            if key is None:
-                continue
-            cat = self._categories.get((idx, key))
-            if cat is None:
-                cat = Category(template)
-                self._categories[(idx, key)] = cat
-            cat.add(job)
+            if key is not None:
+                keys.append((idx, key))
+        out = tuple(keys)
+        self._keys[job.job_id] = (job, out)
+        return out
 
     # ------------------------------------------------------------------
     @property
@@ -113,11 +127,8 @@ class SmithPredictor(RuntimePredictor):
     def categories_for(self, job: Job) -> Sequence[Category]:
         """Existing categories this job falls into (for inspection/tests)."""
         out = []
-        for idx, template in enumerate(self.templates):
-            key = template.category_key(job)
-            if key is None:
-                continue
-            cat = self._categories.get((idx, key))
+        for cat_key in self._category_keys(job):
+            cat = self._categories.get(cat_key)
             if cat is not None:
                 out.append(cat)
         return out

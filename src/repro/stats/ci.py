@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["t_quantile", "mean_confidence_interval", "RunningMoments"]
+__all__ = [
+    "t_quantile",
+    "interval_half_width",
+    "mean_confidence_interval",
+    "RunningMoments",
+]
 
 _T_CACHE: dict[tuple[int, float], float] = {}
 
@@ -92,6 +97,19 @@ def t_quantile(df: int, p: float) -> float:
     return v
 
 
+def interval_half_width(t: float, s: float, n: int, *, prediction: bool = True) -> float:
+    """Half-width ``t * s * sqrt(1 + 1/n)`` of a prediction interval.
+
+    ``t`` is the Student-t quantile, ``s`` the sample standard deviation
+    and ``n`` the sample size.  With ``prediction=False`` the half-width
+    is ``t * s * sqrt(1/n)``, the interval for the mean.  The intervals
+    here and the categories' elapsed-conditioned ones all go through this
+    one expression, so they round alike.
+    """
+    scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
+    return t * s * scale
+
+
 def mean_confidence_interval(
     values: np.ndarray | list[float],
     confidence: float = 0.90,
@@ -112,8 +130,7 @@ def mean_confidence_interval(
     m = float(x.mean())
     s = float(x.std(ddof=1))
     t = t_quantile(n - 1, 0.5 + confidence / 2.0)
-    scale = math.sqrt(1.0 + 1.0 / n) if prediction else math.sqrt(1.0 / n)
-    return m, t * s * scale
+    return m, interval_half_width(t, s, n, prediction=prediction)
 
 
 @dataclass
@@ -167,5 +184,4 @@ class RunningMoments:
         if self.count < 2:
             raise ValueError("confidence interval requires at least 2 values")
         t = t_quantile(self.count - 1, 0.5 + confidence / 2.0)
-        scale = math.sqrt(1.0 + 1.0 / self.count) if prediction else math.sqrt(1.0 / self.count)
-        return self.mean, t * self.std * scale
+        return self.mean, interval_half_width(t, self.std, self.count, prediction=prediction)

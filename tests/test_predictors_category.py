@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import math
 
-from repro.predictors.category import Category
-from repro.predictors.templates import Template
+import numpy as np
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from repro.predictors.category import _FITTERS, Category
+from repro.predictors.templates import ESTIMATOR_KINDS, Template
+from repro.stats.ci import mean_confidence_interval
 from tests.conftest import make_job
 
 
@@ -169,3 +175,159 @@ class TestRegressionPrediction:
             cat.add(make_job(nodes=4, run_time=rt))
         est, _ = cat.predict(make_job(nodes=32))
         assert est == pytest.approx(120.0)
+
+
+def reference_predict(template, history, job, elapsed, confidence=0.90):
+    """The filter-then-numpy formula the sorted store replaced.
+
+    ``history`` is every job added, oldest first; the template's maximum
+    history keeps the newest ones.
+    """
+    if template.relative and job.max_run_time is None:
+        return None
+    limit = template.max_history
+    kept = history[-limit:] if limit is not None else list(history)
+    pts = [j for j in kept if j.run_time >= elapsed] if elapsed > 0.0 else kept
+    values = [
+        j.run_time / j.max_run_time if template.relative else j.run_time for j in pts
+    ]
+    if template.estimator == "mean":
+        if len(pts) < 2:
+            return None
+        est, hw = mean_confidence_interval(values, confidence)
+    else:
+        if len(pts) < 3:
+            return None
+        xs = np.array([j.nodes for j in pts], dtype=float)
+        try:
+            fit = _FITTERS[template.estimator](xs, np.array(values, dtype=float))
+        except ValueError:
+            return None
+        est, hw = fit.prediction_interval(job.nodes, confidence)
+    if template.relative:
+        est *= job.max_run_time
+        hw *= job.max_run_time
+    return max(est, elapsed), max(hw, 0.0)
+
+
+def assert_matches_reference(got, ref, scale=0.0):
+    """Estimate to rel 1e-12; half-width to rel 1e-9, or abs 1e-12 of the
+    estimate when it is under 1e-6 of it.
+
+    A regression evaluated where its fit crosses zero cancels terms of the
+    data's size, so both results are then only good relative to ``scale``,
+    the magnitude of the fitted data.
+    """
+    if ref is None:
+        assert got is None
+        return
+    assert got is not None
+    (est, hw), (ref_est, ref_hw) = got, ref
+    size = max(ref_est, scale)
+    assert math.isclose(est, ref_est, rel_tol=1e-12, abs_tol=1e-12 * scale)
+    if ref_hw < 1e-6 * size:
+        assert abs(hw - ref_hw) <= 1e-12 * size
+    else:
+        assert math.isclose(hw, ref_hw, rel_tol=1e-9, abs_tol=0.0)
+
+
+@st.composite
+def histories(draw):
+    """Run times that are spread, repeated, or tight around one value."""
+    n = draw(st.integers(0, 24))
+    shape = draw(st.sampled_from(["spread", "repeated", "tight"]))
+    if shape == "spread":
+        run_times = draw(st.lists(st.floats(0.0, 1e5), min_size=n, max_size=n))
+    elif shape == "repeated":
+        run_times = draw(
+            st.lists(st.sampled_from([0.0, 60.0, 600.0, 3600.0]), min_size=n, max_size=n)
+        )
+    else:
+        base = draw(st.floats(1.0, 1e4))
+        steps = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        run_times = [base + 1e-3 * k for k in steps]
+    nodes = draw(st.lists(st.sampled_from([1, 2, 3, 4, 8, 16]), min_size=n, max_size=n))
+    if draw(st.booleans()):  # one shared maximum, as for most users' jobs
+        maxima = [draw(st.floats(1.0, 2e5))] * n
+    else:
+        maxima = draw(st.lists(st.floats(1.0, 2e5), min_size=n, max_size=n))
+    return [
+        make_job(run_time=rt, nodes=nd, max_run_time=mx)
+        for rt, nd, mx in zip(run_times, nodes, maxima)
+    ]
+
+
+class TestSortedStoreMatchesReference:
+    @given(
+        history=histories(),
+        relative=st.booleans(),
+        max_history=st.sampled_from([None, 1, 2, 3, 5, 8]),
+        estimator=st.sampled_from(ESTIMATOR_KINDS),
+        elapsed_pick=st.one_of(
+            st.just(0.0), st.integers(0, 23), st.floats(0.0, 1.2e5)
+        ),
+        query_nodes=st.sampled_from([1, 2, 4, 6, 16]),
+        query_max=st.one_of(st.none(), st.floats(1.0, 2e5)),
+    )
+    def test_predict_matches_filter_then_numpy(
+        self, history, relative, max_history, estimator, elapsed_pick,
+        query_nodes, query_max,
+    ):
+        template = Template(
+            characteristics=("u",), relative=relative,
+            max_history=max_history, estimator=estimator,
+        )
+        if isinstance(elapsed_pick, int):
+            # Exactly a stored run time: the ">=" boundary.
+            assume(history)
+            elapsed = history[elapsed_pick % len(history)].run_time
+        else:
+            elapsed = elapsed_pick
+        cat = Category(template)
+        probe = make_job(nodes=query_nodes, max_run_time=query_max)
+        for i, job in enumerate(history):
+            cat.add(job)
+            seen = history[: i + 1]
+            kept = seen[-max_history:] if max_history else seen
+            pts = [j for j in kept if j.run_time >= elapsed]
+            if estimator == "mean":
+                if not elapsed > 0.0 and len(kept) < len(seen):
+                    # The unconditioned mean reads RunningMoments, whose
+                    # inverse-Welford eviction leaves residue beyond these
+                    # tolerances on tight windows; only the suffix path is
+                    # under test once a point has been evicted.
+                    continue
+                scale = 0.0
+            else:
+                if len({j.nodes for j in pts}) < 2:
+                    # A design with one distinct node count leaves the OLS
+                    # fit ill-conditioned whatever the point order.
+                    continue
+                scale = max(
+                    j.run_time / j.max_run_time * (query_max or 0.0) if relative
+                    else j.run_time
+                    for j in pts
+                )
+            assert_matches_reference(
+                cat.predict(probe, elapsed),
+                reference_predict(template, seen, probe, elapsed),
+                scale,
+            )
+
+
+class TestEviction:
+    def test_equal_run_times_evict_the_oldest(self):
+        t = Template(characteristics=("u",), relative=True, max_history=2)
+        cat = Category(t)
+        history = [
+            make_job(run_time=100.0, max_run_time=mx) for mx in (200.0, 400.0, 1000.0)
+        ]
+        for job in history:
+            cat.add(job)
+        assert [p.value for p in cat.points] == [0.25, 0.1]
+        probe = make_job(max_run_time=2000.0)
+        for elapsed in (0.0, 50.0, 100.0):
+            got = cat.predict(probe, elapsed)
+            assert got[0] == pytest.approx(0.175 * 2000.0)
+            assert_matches_reference(got, reference_predict(t, history, probe, elapsed))
+        assert cat.predict(probe, 100.5) is None

@@ -208,3 +208,26 @@ class TestWeightedRegression:
     def test_min_points_validation(self):
         with pytest.raises(ValueError):
             GibbonsPredictor(min_points=0)
+
+
+class TestRegressionFitCache:
+    def test_cached_fit_equals_a_fresh_fit_bit_for_bit(self):
+        # Predict between completions so every fit is cached and then
+        # invalidated; a predictor fed the same jobs at once never caches.
+        jobs = [
+            make_job(user="a", executable="x", nodes=n, run_time=rt)
+            for n, rt in [(1, 90.0), (4, 410.0), (1, 110.0), (16, 1580.0),
+                          (4, 390.0), (64, 6500.0), (16, 1620.0)]
+        ]
+        probes = [make_job(user="a", executable="x", nodes=n) for n in (2, 8, 32)]
+        cached = GibbonsPredictor()
+        for i, job in enumerate(jobs):
+            cached.on_finish(job, 0.0)
+            fresh = GibbonsPredictor()
+            feed(fresh, jobs[: i + 1])
+            for probe in probes:
+                assert cached.predict(probe) == fresh.predict(probe)
+        assert cached._fits
+        assert any(
+            cached.predict(probe).source == "gibbons:ue:regression" for probe in probes
+        )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.predictors.base import PointEstimator
 from repro.predictors.smith import SmithPredictor
 from repro.predictors.templates import Template
 from tests.conftest import make_job
@@ -158,6 +159,34 @@ class TestUsageStats:
         for _ in range(5):
             p.predict(make_job())
         assert p.usage_stats()["()"] == 5
+
+
+class TestCategoryKeyMemo:
+    def _two_users(self):
+        p = SmithPredictor([Template(characteristics=("u",))])
+        feed(p, [make_job(user="alice", run_time=rt) for rt in (100.0, 110.0, 120.0)])
+        feed(p, [make_job(user="bob", run_time=rt) for rt in (1000.0, 1100.0, 1200.0)])
+        return p
+
+    def test_copy_sharing_the_id_uses_its_own_categories(self):
+        p = self._two_users()
+        job = make_job(job_id=999, user="alice")
+        copy = job.with_(user="bob")
+        assert p.predict(job).estimate == pytest.approx(110.0)
+        assert p.predict(copy).estimate == pytest.approx(1100.0)
+        assert p.predict(job).estimate == pytest.approx(110.0)
+        (cat,) = p.categories_for(copy)
+        assert [pt.run_time for pt in cat.points] == [1000.0, 1100.0, 1200.0]
+
+    def test_memo_empty_after_every_job_finished(self, sdsc_trace):
+        from repro.scheduler.policies import BackfillPolicy
+        from repro.scheduler.simulator import Simulator
+
+        p = SmithPredictor.for_trace(sdsc_trace)
+        sim = Simulator(BackfillPolicy(), PointEstimator(p), sdsc_trace.total_nodes)
+        sim.run(sdsc_trace)
+        assert p.category_count > 0
+        assert p._keys == {}
 
 
 class TestAccuracyOnStructuredWorkload:

@@ -193,6 +193,26 @@ class TestEventValidation:
         assert "not finite" in reply["message"]
         assert svc.epoch == 0 and svc.now == 0.0
 
+    def test_server_answers_nan_run_time_submit_with_typed_error(self):
+        svc = _service(FCFSPolicy())
+        svc.submit(make_job(job_id=1, nodes=2), 1.0)
+        before = self._state(svc)
+        server = PredictionServer(("127.0.0.1", 0), svc)
+        try:
+            reply = server.dispatch({
+                "op": "submit",
+                "now": 2.0,
+                "job": {"job_id": 2, "submit_time": 2.0, "run_time": float("nan"),
+                        "nodes": 1},
+            })
+        finally:
+            server.server_close()
+        assert reply["ok"] is False
+        assert reply["error"] == "ValueError"
+        assert "run_time" in reply["message"]
+        assert self._state(svc) == before
+        assert svc.queued_ids == (1,)
+
     def test_every_event_bumps_epoch(self):
         svc = _service(FCFSPolicy())
         assert svc.epoch == 0

@@ -29,6 +29,12 @@ class TestJob:
         with pytest.raises(ValueError, match="max_run_time"):
             make_job(max_run_time=0.0)
 
+    @pytest.mark.parametrize("field", ["submit_time", "run_time", "max_run_time"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_times(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            make_job(**{field: bad})
+
     def test_zero_run_time_allowed(self):
         assert make_job(run_time=0.0).run_time == 0.0
 
