@@ -4,7 +4,7 @@ Measures the optimized :class:`repro.scheduler.Simulator` replaying each
 paper workload under FCFS, LWF and conservative backfill with the
 scheduler running on user maxima (the paper's §3 configuration), and the
 optimized engine against the pre-overhaul
-:class:`repro.scheduler.reference.ReferenceSimulator` on the backfill
+:class:`tests.oracles.reference.ReferenceSimulator` on the backfill
 replay — the policy whose per-pass full-queue replan dominated the old
 profile.
 
@@ -43,8 +43,8 @@ from repro.core.registry import make_predictor
 from repro.obs import Instrumentation, JsonlSink, Tracer, merge_snapshots
 from repro.predictors.base import PointEstimator
 from repro.scheduler.policies import BackfillPolicy, FCFSPolicy, LWFPolicy
-from repro.scheduler.reference import ReferenceBackfillPolicy, ReferenceSimulator
 from repro.scheduler.simulator import Simulator
+from tests.oracles.reference import ReferenceBackfillPolicy, ReferenceSimulator
 
 POLICIES = (FCFSPolicy, LWFPolicy, BackfillPolicy)
 

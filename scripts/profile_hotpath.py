@@ -24,18 +24,23 @@ import json
 import pstats
 import sys
 import time
+from pathlib import Path
 
 from repro.core.registry import make_policy, make_predictor
 from repro.obs import Instrumentation, format_histogram
 from repro.predictors.base import PointEstimator
-from repro.scheduler.reference import (
+from repro.scheduler.simulator import Simulator
+from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
+
+# The reference engine is a test oracle: it lives in tests/oracles/, so
+# the repository root has to be importable.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+from tests.oracles.reference import (  # noqa: E402
     ReferenceBackfillPolicy,
     ReferenceFCFSPolicy,
     ReferenceLWFPolicy,
     ReferenceSimulator,
 )
-from repro.scheduler.simulator import Simulator
-from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
 
 REFERENCE_POLICIES = {
     "fcfs": ReferenceFCFSPolicy,

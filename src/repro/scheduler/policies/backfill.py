@@ -22,15 +22,26 @@ Because the profile is pass-local state, two exact shortcuts apply:
   :meth:`AvailabilityProfile.rebuild` (sort once, build the step arrays
   in one append-only sweep) instead of one O(n) ``list.insert`` per
   release, and reuses one scratch profile object across passes.
-- **Early exit**: reservations carved for jobs that cannot start are
-  discarded at the end of the pass, so the walk may stop as soon as no
-  remaining job can start *now*.  Free nodes at ``now`` only shrink as
-  the walk carves, so once they drop below the minimum node request of
-  the remaining queue suffix, no later job can have an earliest start of
-  ``now`` — the selected set is provably unchanged.
+- **Fits-now exit**: reservations carved for jobs that cannot start are
+  discarded at the end of the pass, so the walk need only reach the last
+  job that can still start *now*.  A job *fits now* when ``reserve``
+  would return ``now``: at least ``nodes`` are free on ``[now, now +
+  duration)``, i.e. ``now + duration <=``
+  :meth:`AvailabilityProfile.drop_time` of its width.  Reserving only
+  removes capacity, so a job that fails this test fails it for the rest
+  of the pass.  The walk keeps one forward-moving *candidate*: it
+  searches ahead for the first job that fits now (each job is tested at
+  most once; ``drop_time`` is memoized per width while the search leaves
+  the profile alone), reserves every job up to it, re-tests it whenever
+  a reservation overlaps its window, and stops once no job ahead fits.
+  The reservations it skips could not start anything, so the selected
+  set is exactly the full walk's.  The profile is seeded only once some
+  job passes the node filter (``nodes <= free nodes``), and estimates
+  are looked up in queue order up to the last job that passes it, as a
+  walk that reserved that far would.
 
 Both are equivalence-gated by ``tests/test_simulator_parity.py`` against
-the reference engine in :mod:`repro.scheduler.reference`.
+the reference engine in ``tests/oracles/reference.py``.
 """
 
 from __future__ import annotations
@@ -303,6 +314,22 @@ class AvailabilityProfile:
         if i < 0:
             raise ValueError(f"time {time} precedes profile start")
         return self.free[i]
+
+    def drop_time(self, nodes: int) -> float:
+        """First breakpoint after the origin where fewer than ``nodes`` are free.
+
+        ``-inf`` when fewer than ``nodes`` are free at the origin, ``inf``
+        when the profile never drops below ``nodes``.  An unfloored
+        :meth:`reserve` of ``nodes`` for ``duration`` returns the origin
+        exactly when ``times[0] + duration <= drop_time(nodes)``.
+        """
+        free = self.free
+        if free[0] < nodes:
+            return -_INF
+        for j in range(1, len(free)):
+            if free[j] < nodes:
+                return self.times[j]
+        return _INF
 
 
 class BatchAvailabilityProfile:
@@ -853,40 +880,67 @@ class BackfillPolicy(Policy):
         tracer = getattr(view, "tracer", None)
         if tracer is not None:
             return self._select_traced(view, queued, tracer)
-        # Suffix minima of node requests: suffix_min[k] is the smallest
-        # request among queued[k:], the early-exit threshold below.
         n = len(queued)
-        suffix_min = [0] * n
-        smallest = queued[-1].job.nodes
-        for k in range(n - 1, -1, -1):
-            nd = queued[k].job.nodes
-            if nd < smallest:
-                smallest = nd
-            suffix_min[k] = smallest
-        free_now = view.free_nodes
-        if free_now < suffix_min[0]:
-            # Not even the narrowest queued job fits right now, so the
-            # pass starts nothing; skip building the profile entirely
-            # (its reservations would be discarded anyway).
-            return []
+        widths = [qj.job.nodes for qj in queued]
         now = view.now
         min_duration = self.min_duration
         estimate = view.estimate
-        profile = self._seeded_profile(view)
-        reserve = profile.reserve
+        # Free nodes at ``now``: the view's count until the profile is
+        # seeded (lazily, once some job passes this node filter), then
+        # the profile's own first step, refreshed at every search.
+        free_now = view.free_nodes
+        profile = None
         started = []
-        for k in range(n):
-            if free_now < suffix_min[k]:
-                break  # no remaining job can start now; see module docstring
-            qj = queued[k]
-            duration = estimate(qj)
-            if duration < min_duration:
-                duration = min_duration
-            start = reserve(qj.job.nodes, duration)
-            if start <= now:
-                started.append(qj)
-                free_now -= qj.job.nodes
-        return started
+        durations: list[float] = []  # estimates of queued[:len(durations)]
+        drops: dict[int, float] = {}  # nodes -> drop_time, for one search
+        k = 0  # next position to reserve
+        c = -1  # the candidate: a job that fitted now when last tested
+        while True:
+            # Search on past the old candidate for the first job that fits
+            # now.  Estimates are looked up in queue order and only up to
+            # the last job that passes the node filter, as a walk that
+            # reserved that far would.
+            if profile is not None:
+                free_now = head[0]
+                drops.clear()
+            c += 1
+            while c < n:
+                nodes = widths[c]
+                if nodes <= free_now:
+                    if profile is None:
+                        profile = self._seeded_profile(view)
+                        reserve = profile.reserve
+                        drop_time = profile.drop_time
+                        head = profile.free
+                        free_now = head[0]
+                    while len(durations) <= c:
+                        duration = estimate(queued[len(durations)])
+                        durations.append(
+                            duration if duration >= min_duration else min_duration
+                        )
+                    t_drop = drops.get(nodes)
+                    if t_drop is None:
+                        t_drop = drops[nodes] = drop_time(nodes)
+                    if now + durations[c] <= t_drop:
+                        break
+                c += 1
+            else:
+                return started  # nothing left can start now
+            # Reserve up to the candidate.  The jobs before it failed the
+            # test, so none of them starts.  A reservation that overlaps
+            # the candidate's window may push it out, and then the search
+            # goes on past it; otherwise it still fits, so it starts now.
+            nodes = widths[c]
+            end = now + durations[c]
+            while k < c:
+                start = reserve(widths[k], durations[k])
+                k += 1
+                if start < end and drop_time(nodes) < end:
+                    break
+            else:
+                reserve(nodes, durations[c])
+                started.append(queued[c])
+                k = c + 1
 
     def _select_traced(self, view, queued, tracer) -> Sequence:
         """The tracing walk: same selections, full reservation event stream.

@@ -32,23 +32,36 @@ __all__ = [
 
 _T_CACHE: dict[tuple[int, float], float] = {}
 
+#: Degrees of freedom cached per ``_T_CACHE`` miss when scipy is present.
+_T_BLOCK = 1024
 
-def _t_quantile_uncached(df: int, p: float) -> float:
-    # Inverse CDF of Student's t via the inverse incomplete beta function.
-    # Uses scipy when available; otherwise falls back to the Cornish-Fisher
-    # expansion around the normal quantile, which is accurate to ~1e-3 for
-    # df >= 3 and adequate for ranking interval widths.
+
+def _fill_t_cache(df: int, p: float) -> None:
+    """Cache the t quantiles at ``p`` for the block of degrees of freedom
+    ``[lo, lo + _T_BLOCK)`` that holds ``df``.
+
+    Inverse CDF of Student's t via the inverse incomplete beta function.
+    With scipy the whole block costs one vectorized ``t.ppf`` call, whose
+    values are bit-identical to scalar calls, instead of one call per
+    distinct ``df``.  Without scipy only ``df`` itself is cached, from the
+    Cornish-Fisher expansion around the normal quantile, which is accurate
+    to ~1e-3 for df >= 3 and adequate for ranking interval widths.
+    """
+    lo = (df - 1) // _T_BLOCK * _T_BLOCK + 1
     try:  # pragma: no cover - exercised when scipy is installed
         from scipy.stats import t as _t
 
-        return float(_t.ppf(p, df))
+        values = _t.ppf(p, np.arange(lo, lo + _T_BLOCK)).tolist()
     except Exception:  # pragma: no cover - scipy always present in CI
         z = _normal_quantile(p)
         g1 = (z**3 + z) / 4.0
         g2 = (5 * z**5 + 16 * z**3 + 3 * z) / 96.0
         g3 = (3 * z**7 + 19 * z**5 + 17 * z**3 - 15 * z) / 384.0
         g4 = (79 * z**9 + 776 * z**7 + 1482 * z**5 - 1920 * z**3 - 945 * z) / 92160.0
-        return float(z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4)
+        _T_CACHE[(df, p)] = float(z + g1 / df + g2 / df**2 + g3 / df**3 + g4 / df**4)
+        return
+    for d, v in enumerate(values, lo):
+        _T_CACHE[(d, p)] = v
 
 
 def _normal_quantile(p: float) -> float:
@@ -85,15 +98,16 @@ def t_quantile(df: int, p: float) -> float:
     """Quantile function of Student's t with ``df`` degrees of freedom.
 
     Results are memoized — predictors call this with a handful of distinct
-    ``(df, p)`` pairs millions of times during a trace replay.
+    ``(df, p)`` pairs millions of times during a trace replay — and a miss
+    fills a whole block of degrees of freedom (see :func:`_fill_t_cache`).
     """
     if df < 1:
         raise ValueError(f"df must be >= 1, got {df}")
     key = (df, p)
     v = _T_CACHE.get(key)
     if v is None:
-        v = _t_quantile_uncached(df, p)
-        _T_CACHE[key] = v
+        _fill_t_cache(df, p)
+        v = _T_CACHE[key]
     return v
 
 

@@ -5,7 +5,7 @@ batch-built availability profiles, early-exit scheduling passes) claims
 to change *nothing* about the schedules produced.  These tests replay
 each paper workload — at a reduced job count — through both the
 optimized :class:`repro.scheduler.Simulator` and the naive
-:class:`repro.scheduler.reference.ReferenceSimulator` under FCFS, LWF
+:class:`tests.oracles.reference.ReferenceSimulator` under FCFS, LWF
 and conservative backfill, and assert the results are **bit-identical**:
 same records in the same order, same start/finish floats, and same
 per-job predicted waits when a wait-time observer rides along.
@@ -40,16 +40,16 @@ from repro.scheduler.policies import (
     LWFPolicy,
 )
 from repro.scheduler.policies.backfill import AvailabilityProfile
-from repro.scheduler.reference import (
+from repro.scheduler.simulator import Simulator
+from repro.waitpred.predictor import WaitTimePredictor
+from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
+from repro.workloads.job import Job, Trace
+from tests.oracles.reference import (
     ReferenceBackfillPolicy,
     ReferenceFCFSPolicy,
     ReferenceLWFPolicy,
     ReferenceSimulator,
 )
-from repro.scheduler.simulator import Simulator
-from repro.waitpred.predictor import WaitTimePredictor
-from repro.workloads.archive import PAPER_WORKLOADS, load_paper_workload
-from repro.workloads.job import Job, Trace
 
 #: Reduced replay length per workload; override to widen the net.
 PARITY_JOBS = int(os.environ.get("REPRO_PARITY_JOBS", "300"))

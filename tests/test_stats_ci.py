@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.stats import ci
 from repro.stats.ci import RunningMoments, mean_confidence_interval, t_quantile
 
 
@@ -35,6 +36,16 @@ class TestTQuantile:
 
     def test_cached(self):
         assert t_quantile(9, 0.95) == t_quantile(9, 0.95)
+
+    def test_miss_fills_block_bit_identical_to_scalar_ppf(self):
+        scipy_t = pytest.importorskip("scipy.stats").t
+        p = 0.8765  # a level no other test or predictor asks for
+        t_quantile(1500, p)
+        filled = {d: v for (d, q), v in ci._T_CACHE.items() if q == p}
+        lo = (1500 - 1) // ci._T_BLOCK * ci._T_BLOCK + 1
+        assert sorted(filled) == list(range(lo, lo + ci._T_BLOCK))
+        for d, v in filled.items():
+            assert v == float(scipy_t.ppf(p, d)), d
 
 
 class TestMeanConfidenceInterval:
